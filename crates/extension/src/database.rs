@@ -160,25 +160,45 @@ impl Database {
     /// resurrect the deleted fact). Returns the number of tuples removed
     /// across all relations.
     pub fn delete(&mut self, e: TypeId, t: &Instance) -> usize {
-        let mut removed = 0;
-        if self.relations[e.index()].remove(t) {
-            removed += 1;
+        self.delete_tracked(e, t).len()
+    }
+
+    /// Like [`Database::delete`], but returns every `(type, tuple)` pair
+    /// it removed — `t` itself when stored, then the cascade's victims,
+    /// in type order — mirroring [`Database::insert_tracked`].
+    /// Transactional engines use this for undo logs and index upkeep.
+    ///
+    /// Victims are found before anything is written, so a relation with
+    /// none is never touched (and a snapshot sharing it never copied).
+    /// When `attrs(e)` are the first attributes of `attrs(s)` in id order
+    /// — `person` under `employee` — the tuples of `R_s` projecting onto
+    /// `t` are exactly those starting with `t`'s fields: one range of the
+    /// canonically ordered set, so the cascade costs O(log n + victims).
+    /// Other specialisations are scanned.
+    pub fn delete_tracked(&mut self, e: TypeId, t: &Instance) -> Vec<(TypeId, Instance)> {
+        let schema = self.intension.schema();
+        let ae = schema.attrs_of(e);
+        let mut victims = Vec::new();
+        for si in self.intension.specialisation().s_set(e).iter() {
+            let s = TypeId(si as u32);
+            let rel = &self.relations[si];
+            let before = victims.len();
+            if s == e {
+                victims.extend(rel.get(t).map(|u| (s, u.clone())));
+            } else if schema.attrs_of(s).iter().take(ae.card()).eq(ae.iter()) {
+                victims.extend(rel.with_prefix(t).map(|u| (s, u.clone())));
+            } else {
+                victims.extend(
+                    rel.iter()
+                        .filter(|u| u.project(ae) == *t)
+                        .map(|u| (s, u.clone())),
+                );
+            }
+            for (_, u) in &victims[before..] {
+                self.relations[si].remove(u);
+            }
         }
-        let specs: Vec<TypeId> = self
-            .intension
-            .specialisation()
-            .s_set(e)
-            .iter()
-            .map(|i| TypeId(i as u32))
-            .filter(|&s| s != e)
-            .collect();
-        let ae = self.schema().attrs_of(e).clone();
-        for s in specs {
-            let before = self.relations[s.index()].len();
-            self.relations[s.index()].retain(|u| &u.project(&ae) != t);
-            removed += before - self.relations[s.index()].len();
-        }
-        removed
+        victims
     }
 
     /// The semantic extension of `e`: under eager maintenance this is the
@@ -353,6 +373,92 @@ mod tests {
         assert_eq!(removed, 3);
         assert!(d.verify_containment().is_empty());
         assert_eq!(d.total_stored(), 0);
+    }
+
+    #[test]
+    fn delete_tracked_returns_victims_and_leaves_other_relations_untouched() {
+        let mut d = db(ContainmentPolicy::Eager);
+        insert_manager(&mut d, "ann", 40, "sales", 1000);
+        insert_manager(&mut d, "bob", 50, "research", 500);
+        let s = d.schema().clone();
+        let worksfor = s.type_id("worksfor").unwrap();
+        d.insert_fields(
+            worksfor,
+            &[
+                ("name", Value::str("ann")),
+                ("age", Value::Int(40)),
+                ("depname", Value::str("sales")),
+                ("location", Value::str("amsterdam")),
+            ],
+        )
+        .unwrap();
+        let snapshot = d.clone();
+        let versions: Vec<u64> = s.type_ids().map(|e| d.stored(e).version()).collect();
+        let person = s.type_id("person").unwrap();
+        let ann = Instance::new(
+            &s,
+            d.catalog(),
+            person,
+            &[("name", Value::str("ann")), ("age", Value::Int(40))],
+        )
+        .unwrap();
+        let victims = d.delete_tracked(person, &ann);
+        let types: Vec<&str> = victims.iter().map(|(t, _)| s.type_name(*t)).collect();
+        assert_eq!(types, ["employee", "person", "manager", "worksfor"]);
+        assert!(victims
+            .iter()
+            .all(|(_, u)| u.project(s.attrs_of(person)) == ann));
+        // Relations without victims were not written (department), the
+        // others were; the snapshot taken before is untouched.
+        for e in s.type_ids() {
+            let touched = victims.iter().any(|(t, _)| *t == e);
+            assert_eq!(
+                d.stored(e).version() != versions[e.index()],
+                touched,
+                "{}",
+                s.type_name(e)
+            );
+        }
+        assert_eq!(snapshot.total_stored(), d.total_stored() + victims.len());
+        assert!(d.verify_containment().is_empty());
+        // A second delete finds nothing and writes nothing.
+        assert!(d.delete_tracked(person, &ann).is_empty());
+    }
+
+    #[test]
+    fn non_prefix_cascades_scan() {
+        // department's attributes (depname, location) are not the first
+        // attributes of worksfor's, so its cascade is the scan path.
+        let mut d = db(ContainmentPolicy::Eager);
+        let s = d.schema().clone();
+        let worksfor = s.type_id("worksfor").unwrap();
+        let department = s.type_id("department").unwrap();
+        for (n, a) in [("ann", 40), ("bob", 50)] {
+            d.insert_fields(
+                worksfor,
+                &[
+                    ("name", Value::str(n)),
+                    ("age", Value::Int(a)),
+                    ("depname", Value::str("sales")),
+                    ("location", Value::str("amsterdam")),
+                ],
+            )
+            .unwrap();
+        }
+        let sales = Instance::new(
+            &s,
+            d.catalog(),
+            department,
+            &[
+                ("depname", Value::str("sales")),
+                ("location", Value::str("amsterdam")),
+            ],
+        )
+        .unwrap();
+        assert_eq!(d.delete(department, &sales), 3);
+        assert!(d.stored(worksfor).is_empty());
+        assert_eq!(d.stored(s.type_id("person").unwrap()).len(), 2);
+        assert!(d.verify_containment().is_empty());
     }
 
     #[test]

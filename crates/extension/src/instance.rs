@@ -5,6 +5,9 @@
 //! `R_e`." An instance assigns a value to every attribute of its type —
 //! the paper's "taking a single cut" through the attribute disks (F1).
 
+use std::sync::Arc;
+
+use serde::json::{get_field, Json, JsonError};
 use serde::{Deserialize, Serialize};
 use toposem_core::{AttrId, Schema, TypeId};
 use toposem_topology::BitSet;
@@ -14,9 +17,35 @@ use crate::value::{DomainCatalog, Value};
 /// A tuple over an attribute set: `(AttrId, Value)` pairs sorted by
 /// attribute id. The attribute set is implicit in the pairs, making
 /// projection a simple filter.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+///
+/// The pairs are immutable and shared: cloning an instance is a
+/// reference-count bump, so a relation, every index over it, and every
+/// snapshot that still sees it hold one copy of the row between them.
+#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Instance {
-    fields: Vec<(AttrId, Value)>,
+    fields: Arc<[(AttrId, Value)]>,
+}
+
+/// Serialised as the derived form of the former `Vec`-backed struct,
+/// `{"fields":[[attr,value],…]}`, so snapshots and checkpoints keep
+/// their bytes.
+impl Serialize for Instance {
+    fn to_json(&self) -> Json {
+        Json::Object(vec![("fields".to_owned(), self.fields.to_json())])
+    }
+}
+
+impl Deserialize for Instance {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| JsonError::expected("Instance", "object"))?;
+        let fields = get_field(obj, "fields")
+            .ok_or_else(|| JsonError::missing_field("Instance", "fields"))?;
+        Ok(Instance {
+            fields: Vec::<(AttrId, Value)>::from_json(fields)?.into(),
+        })
+    }
 }
 
 /// Errors raised when constructing or projecting instances.
@@ -98,7 +127,9 @@ impl Instance {
                 .unwrap_or_else(|| "<duplicate>".to_owned());
             return Err(InstanceError::MissingAttribute { attr: missing });
         }
-        Ok(Instance { fields: resolved })
+        Ok(Instance {
+            fields: resolved.into(),
+        })
     }
 
     /// Builds an instance from already-validated `(AttrId, Value)` pairs.
@@ -107,7 +138,9 @@ impl Instance {
     /// inputs).
     pub fn from_parts(mut fields: Vec<(AttrId, Value)>) -> Self {
         fields.sort_by_key(|(a, _)| *a);
-        Instance { fields }
+        Instance {
+            fields: fields.into(),
+        }
     }
 
     /// The attribute set this instance covers.
@@ -187,14 +220,13 @@ impl Instance {
     /// Panics when incompatible — callers must check [`Self::compatible`].
     pub fn merge(&self, other: &Instance) -> Instance {
         assert!(self.compatible(other), "merging incompatible instances");
-        let mut fields = self.fields.clone();
-        for (a, v) in &other.fields {
+        let mut fields = self.fields.to_vec();
+        for (a, v) in other.fields.iter() {
             if self.get(*a).is_none() {
                 fields.push((*a, v.clone()));
             }
         }
-        fields.sort_by_key(|(a, _)| *a);
-        Instance { fields }
+        Instance::from_parts(fields)
     }
 
     /// Renders the instance with attribute names for diagnostics.

@@ -45,8 +45,8 @@ pub use feedback::{
 pub use metrics::{
     Counter, EngineMetrics, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, MvccStats,
     PlanCacheStats, QueryMetrics, RecoveryStats, ReplicationMetrics, ReplicationStats,
-    SessionStats, TxnStats, WalMetrics, WalStats, LATENCY_NS_BOUNDS, QERROR_X100_BOUNDS,
-    SIZE_BOUNDS,
+    SessionStats, StatisticsStats, TxnStats, WalMetrics, WalStats, LATENCY_NS_BOUNDS,
+    QERROR_X100_BOUNDS, SIZE_BOUNDS,
 };
 pub use profile::{q_error, NodeProfile, NodeSnapshot, OpProfile, PlanProfile, QueryProfile};
 pub use trace::{current_session, set_current_session, QueryTrace, TraceRing};

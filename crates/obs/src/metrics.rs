@@ -294,6 +294,15 @@ pub struct EngineMetrics {
     pub snapshot_rebuilds: Counter,
     /// MVCC snapshot requests served from the cached epoch.
     pub snapshot_hits: Counter,
+    /// Wall time of each snapshot rebuild, in nanoseconds.
+    pub snapshot_rebuild_ns: Histogram,
+    /// Wall time of each statistics assembly that recollected at least
+    /// one type, in nanoseconds.
+    pub stats_collect_ns: Histogram,
+    /// Per-type statistics carried over from an earlier epoch.
+    pub stats_types_reused: Counter,
+    /// Per-type statistics collected because the type's data changed.
+    pub stats_types_collected: Counter,
     /// Sessions opened over the engine's lifetime.
     pub sessions_opened: Counter,
     /// Sessions currently open.
@@ -335,6 +344,10 @@ impl Default for EngineMetrics {
             planner_qerror: Histogram::new(QERROR_X100_BOUNDS),
             snapshot_rebuilds: Counter::default(),
             snapshot_hits: Counter::default(),
+            snapshot_rebuild_ns: Histogram::new(LATENCY_NS_BOUNDS),
+            stats_collect_ns: Histogram::new(LATENCY_NS_BOUNDS),
+            stats_types_reused: Counter::default(),
+            stats_types_collected: Counter::default(),
             sessions_opened: Counter::default(),
             sessions_open: Gauge::default(),
             connections_opened: Counter::default(),
@@ -398,6 +411,12 @@ impl EngineMetrics {
                 snapshot_rebuilds: self.snapshot_rebuilds.get(),
                 snapshot_hits: self.snapshot_hits.get(),
             },
+            snapshot_rebuild_ns: self.snapshot_rebuild_ns.snapshot(),
+            statistics: StatisticsStats {
+                types_reused: self.stats_types_reused.get(),
+                types_collected: self.stats_types_collected.get(),
+                collect_ns: self.stats_collect_ns.snapshot(),
+            },
             sessions: SessionStats {
                 opened: self.sessions_opened.get(),
                 open: self.sessions_open.get(),
@@ -416,6 +435,17 @@ pub struct MvccStats {
     pub snapshot_rebuilds: u64,
     /// Snapshot requests served from the cached epoch.
     pub snapshot_hits: u64,
+}
+
+/// Statistics-cache counters and collect latency.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StatisticsStats {
+    /// Per-type statistics carried over from an earlier epoch.
+    pub types_reused: u64,
+    /// Per-type statistics recollected because the type's data changed.
+    pub types_collected: u64,
+    /// Duration of each statistics assembly that recollected (ns).
+    pub collect_ns: HistogramSnapshot,
 }
 
 /// Session and connection counters.
@@ -541,6 +571,10 @@ pub struct MetricsSnapshot {
     pub planner_qerror: HistogramSnapshot,
     /// MVCC snapshot counters.
     pub mvcc: MvccStats,
+    /// Snapshot rebuild duration histogram (ns).
+    pub snapshot_rebuild_ns: HistogramSnapshot,
+    /// Statistics-cache counters and collect latency.
+    pub statistics: StatisticsStats,
     /// Session and connection counters.
     pub sessions: SessionStats,
     /// Selectivity-feedback counters.
@@ -643,6 +677,16 @@ impl MetricsSnapshot {
             self.mvcc.snapshot_hits,
         );
         counter(
+            "toposem_statistics_types_reused_total",
+            "Per-type statistics carried over from an earlier epoch",
+            self.statistics.types_reused,
+        );
+        counter(
+            "toposem_statistics_types_collected_total",
+            "Per-type statistics recollected because the type's data changed",
+            self.statistics.types_collected,
+        );
+        counter(
             "toposem_sessions_opened_total",
             "Sessions opened",
             self.sessions.opened,
@@ -739,6 +783,16 @@ impl MetricsSnapshot {
             "Worst per-operator q-error of each planned query, times 100",
             &mut out,
         );
+        self.snapshot_rebuild_ns.render_prometheus(
+            "toposem_snapshot_rebuild_duration_ns",
+            "MVCC snapshot rebuild duration in nanoseconds",
+            &mut out,
+        );
+        self.statistics.collect_ns.render_prometheus(
+            "toposem_statistics_collect_duration_ns",
+            "Duration of statistics assemblies that recollected a type, in nanoseconds",
+            &mut out,
+        );
         self.wal.fsync_ns.render_prometheus(
             "toposem_wal_fsync_latency_ns",
             "WAL fsync latency in nanoseconds",
@@ -789,6 +843,10 @@ mod tests {
         m.repl.shipped_lsn.set(42);
         m.repl.applied_lsn.set(40);
         m.repl.segments_shipped.add(5);
+        m.snapshot_rebuild_ns.record(40_000);
+        m.stats_collect_ns.record(2_000_000);
+        m.stats_types_reused.add(4);
+        m.stats_types_collected.inc();
         let text = m.snapshot().to_prometheus();
         assert!(text.contains("toposem_plan_cache_hits_total 3"));
         assert!(text.contains("# TYPE toposem_planner_qerror histogram"));
@@ -804,5 +862,13 @@ mod tests {
         assert!(text.contains("toposem_repl_applied_lsn 40"));
         assert!(text.contains("toposem_repl_lag_records 2"));
         assert!(text.contains("toposem_repl_segments_shipped_total 5"));
+        assert!(text.contains("# TYPE toposem_snapshot_rebuild_duration_ns histogram"));
+        assert!(text.contains("toposem_snapshot_rebuild_duration_ns_bucket{le=\"100000\"} 1"));
+        assert!(text.contains("toposem_snapshot_rebuild_duration_ns_sum 40000"));
+        assert!(text.contains("# TYPE toposem_statistics_collect_duration_ns histogram"));
+        assert!(text.contains("toposem_statistics_collect_duration_ns_bucket{le=\"1000000\"} 0"));
+        assert!(text.contains("toposem_statistics_collect_duration_ns_count 1"));
+        assert!(text.contains("toposem_statistics_types_reused_total 4"));
+        assert!(text.contains("toposem_statistics_types_collected_total 1"));
     }
 }

@@ -306,6 +306,12 @@ fn wal_histograms_surface_in_prometheus_export() {
         "toposem_txn_commits_total",
         "toposem_plan_cache_misses_total",
         "toposem_queries_planned_total",
+        "toposem_snapshot_rebuild_duration_ns_bucket",
+        "toposem_snapshot_rebuild_duration_ns_count",
+        "toposem_statistics_collect_duration_ns_bucket",
+        "toposem_statistics_collect_duration_ns_count",
+        "toposem_statistics_types_reused_total",
+        "toposem_statistics_types_collected_total",
     ] {
         assert!(text.contains(metric), "missing {metric} in export:\n{text}");
     }
@@ -322,5 +328,8 @@ fn wal_histograms_surface_in_prometheus_export() {
         .parse()
         .unwrap();
     assert!(count >= 32, "PerCommit batches are size 1: {bucket_line}");
+    // Planning collected statistics once, for every type.
+    assert!(snap.statistics.types_collected >= 5);
+    assert!(snap.statistics.collect_ns.count >= 1);
     let _ = fs::remove_dir_all(&dir);
 }

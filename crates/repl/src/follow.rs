@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,6 +67,10 @@ struct FollowerShared {
     /// header counts). A segment absent here starts at
     /// [`SEG_HEADER_LEN`].
     offsets: Mutex<HashMap<String, usize>>,
+    /// Notified after every round that moved the applied LSN, so
+    /// [`Follower::wait_for_lsn`] wakes when its LSN arrives instead of
+    /// polling for it.
+    applied: (std::sync::Mutex<()>, Condvar),
 }
 
 /// A replication follower: a read-only engine kept current by tailing
@@ -93,6 +97,7 @@ impl Follower {
             transport,
             engine: RwLock::new(engine),
             offsets: Mutex::new(HashMap::new()),
+            applied: Default::default(),
         });
         // Catch up on everything already shipped before returning, so a
         // fresh follower is immediately as current as the transport.
@@ -155,17 +160,26 @@ impl Follower {
     }
 
     /// Block until the replica has applied at least `lsn` (true) or
-    /// `timeout` elapses (false).
+    /// `timeout` elapses (false). Wakes as the round that applies `lsn`
+    /// ends; every poll interval it also re-checks on its own, covering
+    /// records applied to [`Follower::engine`] from outside the rounds.
     pub fn wait_for_lsn(&self, lsn: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let (lock, cond) = &self.shared.applied;
+        let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if self.applied_lsn() >= lsn {
                 return true;
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            let wait = (deadline - now).min(self.cfg.poll_interval);
+            guard = cond
+                .wait_timeout(guard, wait)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 
@@ -221,11 +235,24 @@ fn bootstrap(transport: &dyn SegmentTransport) -> Result<Arc<Engine>, ReplError>
     Ok(Arc::new(Engine::replica_from_checkpoint(meta, payload)?))
 }
 
-/// One replication round: fetch the manifest, re-bootstrap if the
-/// shipped log no longer reaches back to our applied LSN, then decode
-/// and apply new bytes from every segment that can still hold records
-/// at or above it.
+/// One replication round ([`apply_round`]), then a wake-up for
+/// [`Follower::wait_for_lsn`] callers if it moved the applied LSN — also
+/// when it failed part-way.
 fn catch_up(shared: &FollowerShared) -> Result<(), ReplError> {
+    let applied = |s: &FollowerShared| s.engine.read().applied_lsn();
+    let before = applied(shared);
+    let res = apply_round(shared);
+    if applied(shared) != before {
+        let _guard = shared.applied.0.lock().unwrap_or_else(|e| e.into_inner());
+        shared.applied.1.notify_all();
+    }
+    res
+}
+
+/// Fetches the manifest, re-bootstraps if the shipped log no longer
+/// reaches back to our applied LSN, then decodes and applies new bytes
+/// from every segment that can still hold records at or above it.
+fn apply_round(shared: &FollowerShared) -> Result<(), ReplError> {
     let Some(mut manifest) = shared.transport.fetch_manifest()? else {
         return Ok(());
     };

@@ -7,9 +7,11 @@
 //! 1. syncs the engine's log so buffered commit records reach the
 //!    segment files (bounding follower staleness by the poll interval
 //!    even under `FlushPolicy::NoSync`),
-//! 2. re-publishes the checkpoint if its LSN changed,
-//! 3. re-publishes every segment whose on-disk bytes changed since the
-//!    last round,
+//! 2. re-publishes the checkpoint if its LSN changed (reading only its
+//!    header line otherwise),
+//! 3. publishes what changed in every segment since the last round:
+//!    the bytes appended after the shipped prefix, or the whole segment
+//!    when that prefix's tail was rewritten,
 //! 4. publishes a fresh [`Manifest`] naming exactly the live segments,
 //!    and finally
 //! 5. removes transport segments the manifest no longer names.
@@ -22,6 +24,7 @@
 
 use std::collections::HashMap;
 use std::fs;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,7 +32,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use toposem_storage::Engine;
-use toposem_wal::{crc32::crc32, list_segments, read_checkpoint, segment_first_lsn};
+use toposem_wal::{
+    crc32::crc32, list_segments, read_checkpoint, read_checkpoint_meta, segment_first_lsn,
+};
 
 use crate::transport::{Manifest, SegmentEntry, SegmentTransport};
 use crate::ReplError;
@@ -50,21 +55,64 @@ impl Default for ShipperConfig {
 }
 
 /// What the shipper remembers about a segment between rounds: shipped
-/// length plus a checksum of the shipped tail, so a same-length rewrite
-/// after a primary crash-restart (torn tail truncated, new records
-/// appended) still triggers a re-publish.
+/// length plus a checksum of the shipped tail, so a rewrite after a
+/// primary crash-restart (torn tail truncated, new records appended)
+/// triggers a whole re-publish instead of an append.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct ShippedState {
     len: u64,
     tail_crc: u32,
 }
 
-fn shipped_state(bytes: &[u8]) -> ShippedState {
-    let tail_start = bytes.len().saturating_sub(64);
+/// Bytes at the end of the shipped prefix that `tail_crc` covers.
+const TAIL_LEN: u64 = 64;
+
+/// `bytes` end where the segment ends, and hold at least its last
+/// [`TAIL_LEN`] bytes (or all of it).
+fn shipped_state(len: u64, bytes: &[u8]) -> ShippedState {
+    let tail_start = bytes.len().saturating_sub(TAIL_LEN as usize);
     ShippedState {
-        len: bytes.len() as u64,
+        len,
         tail_crc: crc32(&bytes[tail_start..]),
     }
+}
+
+/// What a round must publish of one segment.
+enum Change {
+    /// Nothing: the shipped prefix is intact and nothing follows it.
+    None,
+    /// Bytes appended after the intact shipped prefix.
+    Appended(Vec<u8>),
+    /// The whole segment: never shipped, or its shipped suffix was
+    /// rewritten.
+    Whole(Vec<u8>),
+}
+
+/// Reads what changed in the segment at `path` since `prev` was shipped.
+/// With a shipped state it reads from the checksummed tail on, so a
+/// round costs what was appended, not what the segment holds — a sealed
+/// segment costs a 64-byte read.
+fn read_change(path: &Path, prev: Option<ShippedState>) -> io::Result<(Change, ShippedState)> {
+    let mut file = fs::File::open(path)?;
+    if let Some(p) = prev {
+        let window = p.len.min(TAIL_LEN);
+        file.seek(SeekFrom::Start(p.len - window))?;
+        let mut buf = Vec::new();
+        file.read_to_end(&mut buf)?;
+        let window = window as usize;
+        if buf.len() >= window && crc32(&buf[..window]) == p.tail_crc {
+            if buf.len() == window {
+                return Ok((Change::None, p));
+            }
+            let now = shipped_state(p.len + (buf.len() - window) as u64, &buf);
+            return Ok((Change::Appended(buf.split_off(window)), now));
+        }
+        file.seek(SeekFrom::Start(0))?;
+    }
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    let now = shipped_state(bytes.len() as u64, &bytes);
+    Ok((Change::Whole(bytes), now))
 }
 
 /// A handle to the primary-side shipping thread. Dropping it stops the
@@ -153,8 +201,14 @@ fn ship_round(
     // writer's buffer forever.
     engine.sync()?;
 
-    let (meta, payload) = read_checkpoint(dir)?;
+    // The header line says whether the checkpoint moved; only then is
+    // the snapshot read. Meta and payload of a shipped checkpoint come
+    // from one read — an installation since the header read replaces
+    // the file atomically.
+    let mut meta = read_checkpoint_meta(dir)?;
     if state.ckpt_next_lsn != Some(meta.next_lsn) {
+        let payload;
+        (meta, payload) = read_checkpoint(dir)?;
         let bytes = crate::transport::encode_checkpoint(&meta, &payload)?;
         transport.publish_checkpoint(&bytes)?;
         repl.checkpoints_shipped.inc();
@@ -172,13 +226,20 @@ fn ship_round(
         // May race with a concurrent checkpoint deleting old segments;
         // the resulting error aborts this round and the next one sees
         // the post-checkpoint directory.
-        let bytes = fs::read(&path).map_err(|e| ReplError::Wal(e.to_string()))?;
-        let now = shipped_state(&bytes);
         let prev = state.shipped.get(&name).copied();
-        if prev != Some(now) {
-            transport.publish_segment(&name, &bytes)?;
+        let (change, now) = read_change(&path, prev).map_err(|e| ReplError::Wal(e.to_string()))?;
+        let prev_len = prev.map_or(0, |p| p.len);
+        let published = match change {
+            Change::None => None,
+            Change::Appended(tail) => Some(transport.extend_segment(&name, prev_len, &tail)),
+            Change::Whole(bytes) => Some(transport.publish_segment(&name, &bytes)),
+        };
+        if let Some(published) = published {
+            // Forgotten after a failed publish: the next round
+            // re-publishes the segment whole.
+            state.shipped.remove(&name);
+            published?;
             repl.segments_shipped.inc();
-            let prev_len = prev.map(|p| p.len).unwrap_or(0);
             repl.bytes_shipped.add(now.len.saturating_sub(prev_len));
             state.shipped.insert(name.clone(), now);
         }

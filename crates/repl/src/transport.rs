@@ -102,6 +102,19 @@ pub trait SegmentTransport: Send + Sync {
     /// Publish (or re-publish, when it has grown) a segment's full
     /// bytes.
     fn publish_segment(&self, name: &str, bytes: &[u8]) -> Result<(), TransportError>;
+    /// Append `tail` to a published segment whose first `at` bytes are
+    /// published and unchanged. The provided method fetches the segment
+    /// back and re-publishes it whole; a store that can append in place
+    /// overrides it.
+    fn extend_segment(&self, name: &str, at: u64, tail: &[u8]) -> Result<(), TransportError> {
+        let mut bytes = self
+            .fetch_segment(name, 0)?
+            .filter(|b| b.len() as u64 >= at)
+            .ok_or_else(|| short_segment(name, at))?;
+        bytes.truncate(at as usize);
+        bytes.extend_from_slice(tail);
+        self.publish_segment(name, &bytes)
+    }
     /// Fetch a segment's bytes from byte offset `from`. `Ok(Some)` with
     /// an empty vector means the segment exists but has nothing past
     /// `from` yet.
@@ -113,6 +126,10 @@ pub trait SegmentTransport: Send + Sync {
     fn publish_manifest(&self, m: &Manifest) -> Result<(), TransportError>;
     /// Fetch the current manifest, if any.
     fn fetch_manifest(&self) -> Result<Option<Manifest>, TransportError>;
+}
+
+fn short_segment(name: &str, at: u64) -> TransportError {
+    TransportError::Io(format!("segment {name} holds fewer than {at} bytes"))
 }
 
 /// Encode a checkpoint for shipping: the JSON meta line, a newline,
@@ -197,6 +214,19 @@ impl SegmentTransport for InProcessTransport {
             .unwrap()
             .segments
             .insert(name.to_string(), bytes.to_vec());
+        Ok(())
+    }
+
+    fn extend_segment(&self, name: &str, at: u64, tail: &[u8]) -> Result<(), TransportError> {
+        self.check_link()?;
+        let mut state = self.state.lock().unwrap();
+        let bytes = state
+            .segments
+            .get_mut(name)
+            .filter(|b| b.len() as u64 >= at)
+            .ok_or_else(|| short_segment(name, at))?;
+        bytes.truncate(at as usize);
+        bytes.extend_from_slice(tail);
         Ok(())
     }
 

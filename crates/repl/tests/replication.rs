@@ -326,6 +326,31 @@ fn dir_transport_converges() {
     fs::remove_dir_all(&spool).unwrap();
 }
 
+/// Appending to a shipped segment leaves what publishing it whole would,
+/// on both transports (the spool one through the provided
+/// fetch-and-republish method), and is refused when the store holds
+/// less than the prefix it extends.
+#[test]
+fn extend_segment_matches_whole_publish() {
+    let spool = temp_dir("extend-spool");
+    let stores: [Arc<dyn SegmentTransport>; 2] = [
+        Arc::new(InProcessTransport::new()),
+        Arc::new(DirTransport::new(&spool).unwrap()),
+    ];
+    for t in &stores {
+        t.publish_segment("seg", b"header-abc").unwrap();
+        t.extend_segment("seg", 7, b"xyz-more").unwrap();
+        assert_eq!(
+            t.fetch_segment("seg", 0).unwrap().unwrap(),
+            b"header-xyz-more"
+        );
+        assert_eq!(t.fetch_segment("seg", 11).unwrap().unwrap(), b"more");
+        assert!(t.extend_segment("seg", 99, b"!").is_err());
+        assert!(t.extend_segment("missing", 0, b"!").is_err());
+    }
+    fs::remove_dir_all(&spool).unwrap();
+}
+
 /// Mid-stream disconnect: the link drops while the primary keeps
 /// committing; the follower stalls (never regresses, never applies a
 /// partial txn) and catches up cleanly when the link returns.

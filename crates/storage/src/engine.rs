@@ -32,7 +32,7 @@ use toposem_wal::{
 use crate::index::{CompositeIndex, HashIndex, Index, IndexKind, OrdIndex};
 use crate::snapshot;
 use crate::snapshot::EngineSnapshot;
-use crate::stats::Statistics;
+use crate::stats::{Statistics, StatisticsCache};
 
 /// Errors surfaced by engine operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -167,6 +167,10 @@ struct Inner {
     wal: Option<Wal>,
     /// Cached planner statistics; dropped on any mutation.
     stats: Option<Arc<Statistics>>,
+    /// Per-type statistics carried across epochs, shared with every
+    /// snapshot: rebuilding `stats` (here or in a snapshot) recollects
+    /// only the types whose relations changed.
+    stats_cache: Arc<parking_lot::Mutex<StatisticsCache>>,
     /// Generation counter for `stats`: bumped on every mutation, so
     /// plans and other statistics-derived artefacts can be validated.
     stats_epoch: u64,
@@ -222,18 +226,49 @@ impl Inner {
         metrics.stats_epoch.set(self.stats_epoch);
     }
 
+    /// Whether the write just made (an autocommitted op or a `commit`)
+    /// opened a group-commit window — the only time the flusher needs
+    /// waking. Later commits join a window whose deadline (set by its
+    /// oldest commit) the flusher is already sleeping toward, and writes
+    /// inside a transaction commit nothing; waking it for those only cost
+    /// a context switch per statement.
+    fn opened_flush_window(&self) -> bool {
+        self.txn_log.is_none() && self.wal.as_ref().is_some_and(|w| w.pending_commits() == 1)
+    }
+
+    /// Drops the engine's reference to the cached snapshot ahead of an
+    /// autocommitted write, which is about to make it stale anyway (a
+    /// stale snapshot is never served). When no reader holds it either,
+    /// the relations and indexes it shared become unshared again, so the
+    /// write updates them in place instead of copying them — and the
+    /// superseded epoch is not left for the next reader's rebuild to
+    /// free. Inside a transaction the snapshot is the committed state
+    /// readers are served, so it stays.
+    fn retire_snapshot(&mut self) {
+        if self.txn_log.is_none() {
+            self.snapshot = None;
+            self.snapshot_stale = true;
+        }
+    }
+
     /// Rebuilds the committed-state snapshot from the current database
-    /// and indexes. Only call when no transaction is active (or, from
-    /// `begin`, before the transaction has mutated anything).
-    fn refresh_snapshot(&mut self, metrics: &EngineMetrics) {
+    /// and indexes — O(types + indexes), as relations and indexes are
+    /// shared copy-on-write. Only call when no transaction is active
+    /// (or, from `begin`, before the transaction has mutated anything).
+    fn refresh_snapshot(&mut self, metrics: &Arc<EngineMetrics>) {
+        let t0 = Instant::now();
         self.snapshot = Some(Arc::new(EngineSnapshot::capture(
             self.db.clone(),
             self.indexes.clone(),
             self.stats_epoch,
-            Arc::clone(&metrics.feedback),
+            Arc::clone(metrics),
+            Arc::clone(&self.stats_cache),
         )));
         self.snapshot_stale = false;
         metrics.snapshot_rebuilds.inc();
+        metrics
+            .snapshot_rebuild_ns
+            .record(t0.elapsed().as_nanos() as u64);
     }
 }
 
@@ -301,10 +336,11 @@ impl GroupCommitFlusher {
             st.wake = false;
             drop(st);
             // Drain pending deadlines: sleep until the oldest pending
-            // commit's deadline, then flush. New commits while sleeping
-            // re-kick (shortening nothing — the oldest deadline still
-            // governs), and a batch-triggered flush clears the deadline,
-            // ending the loop.
+            // commit's deadline, then flush. Only a commit that opens a
+            // window kicks (later ones would shorten nothing — the oldest
+            // deadline governs); the deadline is re-read after every
+            // wake, and a batch-triggered flush clears it, ending the
+            // loop.
             loop {
                 let deadline = inner
                     .read()
@@ -364,6 +400,124 @@ impl Drop for GroupCommitFlusher {
     }
 }
 
+/// Recovery's replay of one log: the checkpointed database, then each
+/// record in log order — operations buffer per transaction and apply
+/// when its `Commit` arrives; aborted and unfinished transactions
+/// vanish — while index and FD definitions accumulate for the engine
+/// [`Replay::finish`] builds.
+struct Replay {
+    db: Database,
+    index_defs: Vec<IndexDef>,
+    fd_defs: Vec<(String, String, String)>,
+    active: HashMap<u64, Vec<(LogKind, LogicalOp)>>,
+    replayed_txns: u64,
+    replayed_ops: u64,
+}
+
+impl Replay {
+    fn new(meta: &CheckpointMeta, snapshot: &[u8]) -> Result<Replay, EngineError> {
+        let db = snapshot::load(snapshot).map_err(|e| EngineError::Recovery(e.to_string()))?;
+        Ok(Replay {
+            index_defs: meta.indexes.clone(),
+            fd_defs: meta.fds.clone(),
+            db,
+            active: HashMap::new(),
+            replayed_txns: 0,
+            replayed_ops: 0,
+        })
+    }
+
+    fn record(&mut self, rec: WalRecord) -> Result<(), EngineError> {
+        match rec.entry {
+            WalEntry::Begin { txn } => {
+                self.active.insert(txn, Vec::new());
+            }
+            WalEntry::Insert { txn, op } => {
+                self.active
+                    .entry(txn)
+                    .or_default()
+                    .push((LogKind::Insert, op));
+            }
+            WalEntry::Delete { txn, op } => {
+                self.active
+                    .entry(txn)
+                    .or_default()
+                    .push((LogKind::Delete, op));
+            }
+            WalEntry::Commit { txn } => {
+                self.replayed_txns += 1;
+                for (kind, op) in self.active.remove(&txn).unwrap_or_default() {
+                    self.replayed_ops += 1;
+                    let res = match kind {
+                        LogKind::Insert => op.apply_insert(&mut self.db).map(|_| ()),
+                        LogKind::Delete => op.apply_delete(&mut self.db).map(|_| ()),
+                    };
+                    res.map_err(|e| EngineError::Recovery(e.to_string()))?;
+                }
+            }
+            WalEntry::Abort { txn } => {
+                self.active.remove(&txn);
+            }
+            WalEntry::Checkpoint { .. } => {}
+            WalEntry::CreateIndex { def } => self.index_defs.push(def),
+            // Drops are applied to the accumulated definition list in
+            // log order, so create/drop/create replays to one index.
+            WalEntry::DropIndex { def } => self.index_defs.retain(|d| *d != def),
+            WalEntry::DeclareFd { lhs, rhs, context } => self.fd_defs.push((lhs, rhs, context)),
+        }
+        Ok(())
+    }
+
+    /// The recovered engine. Transactions still in flight never
+    /// committed: discarded.
+    fn finish(self) -> Result<Engine, EngineError> {
+        let eng = Engine::new(self.db);
+        eng.metrics.recovery_runs.inc();
+        eng.metrics.recovery_replayed_txns.add(self.replayed_txns);
+        eng.metrics.recovery_replayed_ops.add(self.replayed_ops);
+        for def in self.index_defs {
+            let e = eng.with_db(|db| db.schema().type_id(&def.entity));
+            let attrs: Option<Vec<toposem_core::AttrId>> =
+                eng.with_db(|db| def.attrs.iter().map(|a| db.schema().attr_id(a)).collect());
+            let (Some(e), Some(attrs)) = (e, attrs) else {
+                return Err(EngineError::Recovery(format!(
+                    "logged index ({}, {:?}) names no schema element",
+                    def.entity, def.attrs
+                )));
+            };
+            let kind = match def.kind {
+                IndexKindDef::Hash => IndexKind::Hash,
+                IndexKindDef::Ordered => IndexKind::Ordered,
+                IndexKindDef::Composite => IndexKind::Composite,
+            };
+            eng.create_index_of(e, kind, &attrs)?;
+        }
+        // Every replayed mutation passed its FD checks on the live
+        // engine, so the recovered state satisfies every declared FD;
+        // re-declaring at the end re-verifies that and restores
+        // enforcement for post-recovery writes.
+        for (lhs, rhs, context) in self.fd_defs {
+            let resolved = eng.with_db(|db| {
+                let s = db.schema();
+                Some(Fd::unchecked(
+                    s.type_id(&lhs)?,
+                    s.type_id(&rhs)?,
+                    s.type_id(&context)?,
+                ))
+            });
+            match resolved {
+                Some(fd) => eng.declare_fd(fd)?,
+                None => {
+                    return Err(EngineError::Recovery(format!(
+                        "logged fd ({lhs}, {rhs}, {context}) names no schema element"
+                    )))
+                }
+            }
+        }
+        Ok(eng)
+    }
+}
+
 /// The engine. Interior-mutable and `Sync`; all operations take `&self`.
 pub struct Engine {
     inner: Arc<RwLock<Inner>>,
@@ -392,6 +546,7 @@ impl Engine {
             txn_seq: 0,
             wal: None,
             stats: None,
+            stats_cache: Arc::default(),
             stats_epoch: 0,
             plan_cache: PlanCache::new(),
             snapshot: None,
@@ -451,9 +606,22 @@ impl Engine {
     /// in commit order, discards uncommitted suffixes, tolerates a torn
     /// final record, and rebuilds indexes and statistics. The returned
     /// engine has no log attached and never modifies the directory —
-    /// safe to call repeatedly over the same crash artefact.
+    /// safe to call repeatedly over the same crash artefact. Records are
+    /// replayed as they are decoded, so memory stays bounded by the
+    /// transactions in flight, not by the length of the log.
     pub fn recover(path: impl AsRef<Path>) -> Result<Engine, EngineError> {
-        let eng = Self::from_scan(toposem_wal::scan(path)?)?;
+        let (meta, snapshot) = toposem_wal::read_checkpoint(path.as_ref())?;
+        let mut replay = Replay::new(&meta, &snapshot)?;
+        let mut failed = None;
+        toposem_wal::scan_records(path, &meta, |rec| {
+            if failed.is_none() {
+                failed = replay.record(rec).err();
+            }
+        })?;
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let eng = replay.finish()?;
         // Rebuild statistics eagerly so the recovered engine is
         // immediately plannable.
         let _ = eng.statistics();
@@ -464,91 +632,11 @@ impl Engine {
     /// only, applied in commit order, with indexes and declared FDs
     /// restored from the checkpoint's and log's definitions.
     fn from_scan(scan: LogScan) -> Result<Engine, EngineError> {
-        let mut db =
-            snapshot::load(&scan.snapshot[..]).map_err(|e| EngineError::Recovery(e.to_string()))?;
-        let mut index_defs = scan.meta.indexes.clone();
-        let mut fd_defs = scan.meta.fds.clone();
-        let mut active: HashMap<u64, Vec<(LogKind, LogicalOp)>> = HashMap::new();
-        let mut replayed_txns = 0u64;
-        let mut replayed_ops = 0u64;
+        let mut replay = Replay::new(&scan.meta, &scan.snapshot)?;
         for rec in scan.records {
-            match rec.entry {
-                WalEntry::Begin { txn } => {
-                    active.insert(txn, Vec::new());
-                }
-                WalEntry::Insert { txn, op } => {
-                    active.entry(txn).or_default().push((LogKind::Insert, op));
-                }
-                WalEntry::Delete { txn, op } => {
-                    active.entry(txn).or_default().push((LogKind::Delete, op));
-                }
-                WalEntry::Commit { txn } => {
-                    replayed_txns += 1;
-                    for (kind, op) in active.remove(&txn).unwrap_or_default() {
-                        replayed_ops += 1;
-                        let res = match kind {
-                            LogKind::Insert => op.apply_insert(&mut db).map(|_| ()),
-                            LogKind::Delete => op.apply_delete(&mut db).map(|_| ()),
-                        };
-                        res.map_err(|e| EngineError::Recovery(e.to_string()))?;
-                    }
-                }
-                WalEntry::Abort { txn } => {
-                    active.remove(&txn);
-                }
-                WalEntry::Checkpoint { .. } => {}
-                WalEntry::CreateIndex { def } => index_defs.push(def),
-                // Drops are applied to the accumulated definition list in
-                // log order, so create/drop/create replays to one index.
-                WalEntry::DropIndex { def } => index_defs.retain(|d| *d != def),
-                WalEntry::DeclareFd { lhs, rhs, context } => fd_defs.push((lhs, rhs, context)),
-            }
+            replay.record(rec)?;
         }
-        // Transactions still in `active` never committed: discarded.
-        let eng = Engine::new(db);
-        eng.metrics.recovery_runs.inc();
-        eng.metrics.recovery_replayed_txns.add(replayed_txns);
-        eng.metrics.recovery_replayed_ops.add(replayed_ops);
-        for def in index_defs {
-            let e = eng.with_db(|db| db.schema().type_id(&def.entity));
-            let attrs: Option<Vec<toposem_core::AttrId>> =
-                eng.with_db(|db| def.attrs.iter().map(|a| db.schema().attr_id(a)).collect());
-            let (Some(e), Some(attrs)) = (e, attrs) else {
-                return Err(EngineError::Recovery(format!(
-                    "logged index ({}, {:?}) names no schema element",
-                    def.entity, def.attrs
-                )));
-            };
-            let kind = match def.kind {
-                IndexKindDef::Hash => IndexKind::Hash,
-                IndexKindDef::Ordered => IndexKind::Ordered,
-                IndexKindDef::Composite => IndexKind::Composite,
-            };
-            eng.create_index_of(e, kind, &attrs)?;
-        }
-        // Every replayed mutation passed its FD checks on the live
-        // engine, so the recovered state satisfies every declared FD;
-        // re-declaring at the end re-verifies that and restores
-        // enforcement for post-recovery writes.
-        for (lhs, rhs, context) in fd_defs {
-            let resolved = eng.with_db(|db| {
-                let s = db.schema();
-                Some(Fd::unchecked(
-                    s.type_id(&lhs)?,
-                    s.type_id(&rhs)?,
-                    s.type_id(&context)?,
-                ))
-            });
-            match resolved {
-                Some(fd) => eng.declare_fd(fd)?,
-                None => {
-                    return Err(EngineError::Recovery(format!(
-                        "logged fd ({lhs}, {rhs}, {context}) names no schema element"
-                    )))
-                }
-            }
-        }
-        Ok(eng)
+        replay.finish()
     }
 
     /// Builds a **read-only replica** engine from a shipped checkpoint:
@@ -618,6 +706,9 @@ impl Engine {
             WalEntry::Commit { txn } => {
                 let ops = inner.repl_active.remove(txn).unwrap_or_default();
                 let n = ops.len() as u64;
+                if n > 0 {
+                    inner.retire_snapshot();
+                }
                 for (kind, op) in ops {
                     Self::apply_replicated_op(&mut inner, kind, &op)?;
                 }
@@ -687,28 +778,10 @@ impl Engine {
                 }
             }
             LogKind::Delete => {
-                // Same cascade capture as Engine::delete: the logged op
-                // addresses one instance; specialisations that project
-                // onto it go too, and their index entries with them.
-                let schema = inner.db.schema().clone();
-                let victims: Vec<(TypeId, Instance)> = schema
-                    .type_ids()
-                    .flat_map(|s| {
-                        let spec = inner.db.intension().specialisation();
-                        if s != e && !spec.is_specialisation(s, e) {
-                            return Vec::new();
-                        }
-                        let ae = schema.attrs_of(e);
-                        inner
-                            .db
-                            .stored(s)
-                            .iter()
-                            .filter(|u| u.project(ae) == t)
-                            .map(|u| (s, u.clone()))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect();
-                inner.db.delete(e, &t);
+                // The logged op addresses one instance; specialisations
+                // that project onto it go too, and their index entries
+                // with them.
+                let victims = inner.db.delete_tracked(e, &t);
                 for (s, u) in &victims {
                     for idx in &mut inner.indexes[s.index()] {
                         idx.remove(u);
@@ -1112,6 +1185,7 @@ impl Engine {
             return Err(EngineError::ReadOnly);
         }
         let t = Instance::new(inner.db.schema(), inner.db.catalog(), e, fields)?;
+        inner.retire_snapshot();
         let added = inner.db.insert_tracked(e, t.clone());
         if added.is_empty() {
             return Ok(false);
@@ -1142,11 +1216,7 @@ impl Engine {
             Self::log_op(&mut inner, &self.metrics, LogKind::Insert, op)?;
         }
         inner.note_mutation(&self.metrics);
-        let kick = inner
-            .wal
-            .as_ref()
-            .and_then(Wal::pending_flush_deadline)
-            .is_some();
+        let kick = inner.opened_flush_window();
         drop(inner);
         if kick {
             self.kick_flusher();
@@ -1162,26 +1232,10 @@ impl Engine {
         if inner.read_only {
             return Err(EngineError::ReadOnly);
         }
-        // Capture what a cascade will remove, for undo and index upkeep.
-        let schema = inner.db.schema().clone();
-        let victims: Vec<(TypeId, Instance)> = schema
-            .type_ids()
-            .flat_map(|s| {
-                let spec = inner.db.intension().specialisation();
-                if s != e && !spec.is_specialisation(s, e) {
-                    return Vec::new();
-                }
-                let ae = schema.attrs_of(e);
-                inner
-                    .db
-                    .stored(s)
-                    .iter()
-                    .filter(|u| &u.project(ae) == t)
-                    .map(|u| (s, u.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let removed = inner.db.delete(e, t);
+        inner.retire_snapshot();
+        // What the cascade removed, for undo and index upkeep.
+        let victims = inner.db.delete_tracked(e, t);
+        let removed = victims.len();
         for (s, u) in &victims {
             for idx in &mut inner.indexes[s.index()] {
                 idx.remove(u);
@@ -1197,12 +1251,7 @@ impl Engine {
             }
             inner.note_mutation(&self.metrics);
         }
-        let kick = removed > 0
-            && inner
-                .wal
-                .as_ref()
-                .and_then(Wal::pending_flush_deadline)
-                .is_some();
+        let kick = removed > 0 && inner.opened_flush_window();
         drop(inner);
         if kick {
             self.kick_flusher();
@@ -1284,13 +1333,10 @@ impl Engine {
             commit_ns = t0.elapsed().as_nanos() as u64;
         }
         // The transaction's writes are committed now: the next snapshot
-        // request materialises them.
-        inner.snapshot_stale = true;
-        let kick = inner
-            .wal
-            .as_ref()
-            .and_then(Wal::pending_flush_deadline)
-            .is_some();
+        // request materialises them, and the pre-transaction epoch goes
+        // (freed here, on the writer's clock, unless a reader holds it).
+        inner.retire_snapshot();
+        let kick = inner.opened_flush_window();
         drop(inner);
         if kick {
             self.kick_flusher();
@@ -1344,11 +1390,14 @@ impl Engine {
                     }
                 }
                 Undo::Restore(victims) => {
+                    // Exactly the removed pairs go back: the delete never
+                    // touched generalisations, so nothing needs
+                    // re-propagating.
                     for (s, u) in victims {
-                        inner.db.insert(s, u.clone());
                         for idx in &mut inner.indexes[s.index()] {
                             idx.insert(&u);
                         }
+                        inner.db.insert_unchecked(s, u);
                     }
                 }
             }
@@ -1408,8 +1457,10 @@ impl Engine {
             .collect()
     }
 
-    /// Current statistics, collected lazily and cached until the next
-    /// mutation (insert, delete, or rollback). Carries the engine's
+    /// Current statistics, assembled lazily and cached until the next
+    /// mutation (insert, delete, or rollback). Assembly reuses the
+    /// carried statistics of every type the mutations left alone — the
+    /// same per-type cache [`EngineSnapshot::statistics`] draws from. Carries the engine's
     /// selectivity-feedback cache, so estimates read through them are
     /// steered by learned corrections (neutral until something has been
     /// observed, or always when `TOPOSEM_FEEDBACK=0`).
@@ -1419,11 +1470,14 @@ impl Engine {
         }
         let mut inner = self.inner.write();
         if inner.stats.is_none() {
-            let s = Arc::new(
-                Statistics::collect(&inner.db, &inner.indexes)
-                    .with_feedback(Arc::clone(&self.metrics.feedback), inner.stats_epoch),
-            );
-            inner.stats = Some(s);
+            let stats =
+                inner
+                    .stats_cache
+                    .lock()
+                    .statistics(&inner.db, &inner.indexes, &self.metrics);
+            inner.stats = Some(Arc::new(
+                stats.with_feedback(Arc::clone(&self.metrics.feedback), inner.stats_epoch),
+            ));
         }
         Arc::clone(inner.stats.as_ref().expect("just filled"))
     }
@@ -1668,6 +1722,82 @@ mod tests {
         let snap = eng.snapshot().expect("reader rebuilds on demand");
         assert_eq!(snap.db().extension_cow(worksfor).len(), 10);
         assert_eq!(eng.metrics().snapshot_rebuilds.get(), primed + 1);
+    }
+
+    #[test]
+    fn statistics_recollect_only_the_types_a_write_changed() {
+        let eng = engine();
+        let (employee, department) = eng.with_db(|db| {
+            let s = db.schema();
+            (
+                s.type_id("employee").unwrap(),
+                s.type_id("department").unwrap(),
+            )
+        });
+        let counts = |eng: &Engine| {
+            let m = eng.metrics_snapshot().statistics;
+            (m.types_reused, m.types_collected)
+        };
+        let _ = eng.statistics();
+        assert_eq!(counts(&eng), (0, 5), "first assembly collects every type");
+        // An employee insert propagates to person: two types change.
+        eng.insert(
+            employee,
+            &[
+                ("name", Value::str("ann")),
+                ("age", Value::Int(40)),
+                ("depname", Value::str("sales")),
+            ],
+        )
+        .unwrap();
+        let live = eng.statistics();
+        assert_eq!(counts(&eng), (3, 7));
+        // A snapshot of the same state reuses all five.
+        let snap = eng.snapshot().unwrap();
+        let snapped = snap.statistics();
+        assert_eq!(counts(&eng), (8, 7));
+        eng.with_db(|db| {
+            for e in db.schema().type_ids() {
+                assert_eq!(live.type_stats(e), snapped.type_stats(e));
+            }
+        });
+        eng.insert(
+            department,
+            &[
+                ("depname", Value::str("sales")),
+                ("location", Value::str("amsterdam")),
+            ],
+        )
+        .unwrap();
+        let _ = eng.statistics();
+        assert_eq!(counts(&eng), (12, 8));
+        assert_eq!(eng.metrics_snapshot().statistics.collect_ns.count, 3);
+        // The snapshot still answers for its own epoch.
+        assert_eq!(snap.statistics().cardinality(department), 0);
+    }
+
+    #[test]
+    fn autocommit_writes_retire_the_cached_snapshot_but_readers_keep_theirs() {
+        let eng = engine();
+        let person = eng.with_db(|db| db.schema().type_id("person").unwrap());
+        let row = |n: &str| vec![("name", Value::str(n)), ("age", Value::Int(1))];
+        eng.insert(person, &row("a")).unwrap();
+        let held = eng.snapshot().unwrap();
+        let rebuilds = eng.metrics_snapshot().mvcc.snapshot_rebuilds;
+        eng.insert(person, &row("b")).unwrap();
+        // The reader's snapshot is unchanged; the next one sees the write.
+        assert_eq!(held.db().stored(person).len(), 1);
+        let fresh = eng.snapshot().unwrap();
+        assert_eq!(fresh.db().stored(person).len(), 2);
+        let m = eng.metrics_snapshot();
+        assert_eq!(m.mvcc.snapshot_rebuilds, rebuilds + 1);
+        assert_eq!(m.snapshot_rebuild_ns.count, m.mvcc.snapshot_rebuilds);
+        // Relations the write did not touch are still shared.
+        let department = eng.with_db(|db| db.schema().type_id("department").unwrap());
+        assert_eq!(
+            held.db().stored(department).version(),
+            fresh.db().stored(department).version()
+        );
     }
 
     #[test]

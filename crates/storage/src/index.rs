@@ -6,6 +6,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use toposem_core::AttrId;
 use toposem_extension::{Instance, Value};
@@ -18,10 +19,17 @@ use crate::query::Predicate;
 /// There is deliberately no `Default` impl: an index always knows its
 /// attribute, so an unconfigured index is unrepresentable and `attr()`
 /// cannot fail.
+///
+/// Like [`toposem_extension::Relation`], the map is copy-on-write behind
+/// an `Arc` and its buckets hold the relation's own row handles: cloning
+/// an index (into a snapshot) is a refcount bump, and only a commit that
+/// changes the index copies it.
 #[derive(Clone, Debug)]
 pub struct HashIndex {
     attr: AttrId,
-    buckets: HashMap<Value, Vec<Instance>>,
+    buckets: Arc<HashMap<Value, Vec<Instance>>>,
+    /// Total entries over all buckets, so [`HashIndex::len`] is O(1).
+    entries: usize,
 }
 
 impl HashIndex {
@@ -29,7 +37,8 @@ impl HashIndex {
     pub fn new(attr: AttrId) -> Self {
         HashIndex {
             attr,
-            buckets: HashMap::new(),
+            buckets: Arc::default(),
+            entries: 0,
         }
     }
 
@@ -41,20 +50,28 @@ impl HashIndex {
     /// Registers an instance.
     pub fn insert(&mut self, t: &Instance) {
         if let Some(v) = t.get(self.attr) {
-            self.buckets.entry(v.clone()).or_default().push(t.clone());
+            Arc::make_mut(&mut self.buckets)
+                .entry(v.clone())
+                .or_default()
+                .push(t.clone());
+            self.entries += 1;
         }
     }
 
     /// Unregisters an instance, dropping the bucket when it empties so
     /// long-lived engines under churn don't accumulate dead entries.
     pub fn remove(&mut self, t: &Instance) {
-        if let Some(v) = t.get(self.attr) {
-            if let Some(bucket) = self.buckets.get_mut(v) {
-                bucket.retain(|u| u != t);
-                if bucket.is_empty() {
-                    self.buckets.remove(v);
-                }
-            }
+        let Some(v) = t.get(self.attr) else { return };
+        if !self.buckets.get(v).is_some_and(|b| b.contains(t)) {
+            return;
+        }
+        let buckets = Arc::make_mut(&mut self.buckets);
+        let bucket = buckets.get_mut(v).expect("checked above");
+        let before = bucket.len();
+        bucket.retain(|u| u != t);
+        self.entries -= before - bucket.len();
+        if bucket.is_empty() {
+            buckets.remove(v);
         }
     }
 
@@ -70,7 +87,7 @@ impl HashIndex {
 
     /// Total indexed entries.
     pub fn len(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
+        self.entries
     }
 
     /// True when the index is empty.
@@ -92,10 +109,14 @@ impl HashIndex {
 /// An ordered secondary index: a BTree from attribute value to matching
 /// instances, supporting point *and* range lookups under the total
 /// order on [`Value`].
+///
+/// Copy-on-write and handle-sharing like [`HashIndex`].
 #[derive(Clone, Debug)]
 pub struct OrdIndex {
     attr: AttrId,
-    tree: BTreeMap<Value, Vec<Instance>>,
+    tree: Arc<BTreeMap<Value, Vec<Instance>>>,
+    /// Total entries over all nodes, so [`OrdIndex::len`] is O(1).
+    entries: usize,
 }
 
 impl OrdIndex {
@@ -103,7 +124,8 @@ impl OrdIndex {
     pub fn new(attr: AttrId) -> Self {
         OrdIndex {
             attr,
-            tree: BTreeMap::new(),
+            tree: Arc::default(),
+            entries: 0,
         }
     }
 
@@ -115,21 +137,19 @@ impl OrdIndex {
     /// Registers an instance.
     pub fn insert(&mut self, t: &Instance) {
         if let Some(v) = t.get(self.attr) {
-            self.tree.entry(v.clone()).or_default().push(t.clone());
+            Arc::make_mut(&mut self.tree)
+                .entry(v.clone())
+                .or_default()
+                .push(t.clone());
+            self.entries += 1;
         }
     }
 
     /// Unregisters an instance, dropping the node when it empties (the
     /// same churn guarantee as [`HashIndex::remove`]).
     pub fn remove(&mut self, t: &Instance) {
-        if let Some(v) = t.get(self.attr) {
-            if let Some(node) = self.tree.get_mut(v) {
-                node.retain(|u| u != t);
-                if node.is_empty() {
-                    self.tree.remove(v);
-                }
-            }
-        }
+        let Some(v) = t.get(self.attr) else { return };
+        self.entries -= remove_from(&mut self.tree, v, t);
     }
 
     /// Point lookup.
@@ -203,7 +223,7 @@ impl OrdIndex {
 
     /// Total indexed entries.
     pub fn len(&self) -> usize {
-        self.tree.values().map(Vec::len).sum()
+        self.entries
     }
 
     /// True when the index is empty.
@@ -212,13 +232,40 @@ impl OrdIndex {
     }
 }
 
+/// Removes every entry equal to `t` from the node at `key` of a
+/// copy-on-write tree, dropping the node when it empties; returns how
+/// many entries went. The tree is copied (when shared) only if the node
+/// actually holds `t`.
+fn remove_from<K: Ord + Clone + std::borrow::Borrow<Q>, Q: Ord + ?Sized>(
+    tree: &mut Arc<BTreeMap<K, Vec<Instance>>>,
+    key: &Q,
+    t: &Instance,
+) -> usize {
+    if !tree.get(key).is_some_and(|node| node.contains(t)) {
+        return 0;
+    }
+    let tree = Arc::make_mut(tree);
+    let node = tree.get_mut(key).expect("checked above");
+    let before = node.len();
+    node.retain(|u| u != t);
+    let removed = before - node.len();
+    if node.is_empty() {
+        tree.remove(key);
+    }
+    removed
+}
+
 /// A composite secondary index: a BTree from the tuple of values of an
 /// ordered attribute list to matching instances. Lexicographic key
 /// order makes any *prefix* of the attribute list seekable.
+///
+/// Copy-on-write and handle-sharing like [`HashIndex`].
 #[derive(Clone, Debug)]
 pub struct CompositeIndex {
     attrs: Vec<AttrId>,
-    tree: BTreeMap<Vec<Value>, Vec<Instance>>,
+    tree: Arc<BTreeMap<Vec<Value>, Vec<Instance>>>,
+    /// Total entries over all nodes, so [`CompositeIndex::len`] is O(1).
+    entries: usize,
 }
 
 impl CompositeIndex {
@@ -228,7 +275,8 @@ impl CompositeIndex {
         assert!(!attrs.is_empty(), "composite index needs attributes");
         CompositeIndex {
             attrs,
-            tree: BTreeMap::new(),
+            tree: Arc::default(),
+            entries: 0,
         }
     }
 
@@ -244,19 +292,18 @@ impl CompositeIndex {
     /// Registers an instance (ignored when it lacks any key attribute).
     pub fn insert(&mut self, t: &Instance) {
         if let Some(key) = self.key_of(t) {
-            self.tree.entry(key).or_default().push(t.clone());
+            Arc::make_mut(&mut self.tree)
+                .entry(key)
+                .or_default()
+                .push(t.clone());
+            self.entries += 1;
         }
     }
 
     /// Unregisters an instance, dropping the node when it empties.
     pub fn remove(&mut self, t: &Instance) {
         if let Some(key) = self.key_of(t) {
-            if let Some(node) = self.tree.get_mut(&key) {
-                node.retain(|u| u != t);
-                if node.is_empty() {
-                    self.tree.remove(&key);
-                }
-            }
+            self.entries -= remove_from(&mut self.tree, &key, t);
         }
     }
 
@@ -327,7 +374,7 @@ impl CompositeIndex {
 
     /// Total indexed entries.
     pub fn len(&self) -> usize {
-        self.tree.values().map(Vec::len).sum()
+        self.entries
     }
 
     /// True when the index is empty.
@@ -728,6 +775,47 @@ mod tests {
                 })
                 .collect();
             assert_eq!(via_seek.len(), via_scan.len(), "({lo:?}, {hi:?})");
+        }
+    }
+
+    #[test]
+    fn clones_are_isolated_and_len_is_a_counter() {
+        let s = employee_schema();
+        let dep = s.attr_id("depname").unwrap();
+        let name = s.attr_id("name").unwrap();
+        let (ann, bob, cy) = (
+            emp("ann", 40, "sales"),
+            emp("bob", 30, "sales"),
+            emp("cy", 20, "admin"),
+        );
+        for mut idx in [
+            Index::Hash(HashIndex::new(dep)),
+            Index::Ord(OrdIndex::new(dep)),
+            Index::Composite(CompositeIndex::new(vec![dep, name])),
+        ] {
+            idx.insert(&ann);
+            idx.insert(&bob);
+            let snap = idx.clone();
+            idx.remove(&ann);
+            idx.insert(&cy);
+            // Removing what is absent changes nothing, counter included.
+            idx.remove(&ann);
+            idx.remove(&emp("zed", 1, "admin"));
+            assert_eq!(idx.len(), 2, "{:?}", idx.kind());
+            assert_eq!(snap.len(), 2, "{:?}", snap.kind());
+            let sales = |i: &Index| match i {
+                Index::Composite(c) => c.lookup_prefix(&[Value::str("sales")]).count(),
+                other => other.lookup(dep, &Value::str("sales")).unwrap().len(),
+            };
+            assert_eq!(sales(&idx), 1);
+            assert_eq!(sales(&snap), 2, "the clone kept its entries");
+            // Buckets hold the caller's row handle, not a copy of it.
+            let admin = [Value::str("admin")];
+            let held = match &idx {
+                Index::Composite(c) => c.lookup_prefix(&admin).next().unwrap(),
+                other => &other.lookup(dep, &admin[0]).unwrap()[0],
+            };
+            assert!(std::ptr::eq(held.fields(), cy.fields()));
         }
     }
 

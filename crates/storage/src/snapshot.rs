@@ -10,20 +10,23 @@
 //!    surfacing as a JSON parse error deep inside the payload. Schemas
 //!    carry skipped lookup indices, so loading rebuilds them.
 //! 2. **In-memory epoch snapshots** ([`EngineSnapshot`]): an immutable
-//!    copy of the engine's last *committed* state — database, secondary
-//!    indexes, and lazily collected statistics — shared behind an `Arc`
+//!    view of the engine's last *committed* state — database, secondary
+//!    indexes, and lazily assembled statistics — shared behind an `Arc`
 //!    so MVCC readers plan and execute whole queries without ever
 //!    taking the engine's write lock while the single writer mutates
-//!    the next epoch.
+//!    the next epoch. Relations and indexes are copy-on-write, so the
+//!    "copy" shares every relation and index with the live engine until
+//!    a later commit changes it.
 
 use std::io::{Read, Write};
 use std::sync::{Arc, OnceLock};
 
+use parking_lot::Mutex;
 use toposem_extension::Database;
-use toposem_obs::SelectivityFeedback;
+use toposem_obs::EngineMetrics;
 
 use crate::index::Index;
-use crate::stats::Statistics;
+use crate::stats::{Statistics, StatisticsCache};
 
 /// Header line every snapshot begins with: magic plus format version.
 pub const MAGIC: &[u8] = b"TOPOSEM-SNAPSHOT v1\n";
@@ -96,7 +99,11 @@ pub fn load<R: Read>(mut r: R) -> Result<Database, SnapshotError> {
 
 /// An immutable snapshot of the engine's last committed state: the
 /// database, the secondary-index array, and the statistics epoch it was
-/// captured under, plus lazily collected [`Statistics`].
+/// captured under, plus lazily assembled [`Statistics`].
+///
+/// Capturing one costs O(types + indexes): the database and the index
+/// array are clones whose relations and index maps are shared,
+/// copy-on-write, with the engine.
 ///
 /// Snapshots give the engine MVCC reads: [`crate::Engine::snapshot`]
 /// caches one per committed epoch and hands out `Arc` clones, so any
@@ -112,25 +119,30 @@ pub struct EngineSnapshot {
     db: Database,
     indexes: Vec<Vec<Index>>,
     stats_epoch: u64,
-    feedback: Arc<SelectivityFeedback>,
+    metrics: Arc<EngineMetrics>,
+    stats_cache: Arc<Mutex<StatisticsCache>>,
     stats: OnceLock<Arc<Statistics>>,
 }
 
 impl EngineSnapshot {
     /// Captures a snapshot of committed state. The caller (the engine,
     /// under its write lock) guarantees `db` and `indexes` contain no
-    /// uncommitted mutations.
+    /// uncommitted mutations. `stats_cache` is the engine's, so the
+    /// snapshot's statistics reuse every type the engine (or an earlier
+    /// snapshot) already collected at the same data.
     pub(crate) fn capture(
         db: Database,
         indexes: Vec<Vec<Index>>,
         stats_epoch: u64,
-        feedback: Arc<SelectivityFeedback>,
+        metrics: Arc<EngineMetrics>,
+        stats_cache: Arc<Mutex<StatisticsCache>>,
     ) -> EngineSnapshot {
         EngineSnapshot {
             db,
             indexes,
             stats_epoch,
-            feedback,
+            metrics,
+            stats_cache,
             stats: OnceLock::new(),
         }
     }
@@ -152,16 +164,18 @@ impl EngineSnapshot {
         self.stats_epoch
     }
 
-    /// Statistics over the snapshotted state, collected on first use and
-    /// cached for the snapshot's lifetime (it is immutable, so they
-    /// never go stale). Carries the engine's selectivity-feedback cache
-    /// scoped to the snapshot's epoch.
+    /// Statistics over the snapshotted state, assembled on first use
+    /// from the engine's carried per-type statistics (recollecting only
+    /// types whose data changed) and cached for the snapshot's lifetime
+    /// (it is immutable, so they never go stale). Carries the engine's
+    /// selectivity-feedback cache scoped to the snapshot's epoch.
     pub fn statistics(&self) -> Arc<Statistics> {
         Arc::clone(self.stats.get_or_init(|| {
-            Arc::new(
-                Statistics::collect(&self.db, &self.indexes)
-                    .with_feedback(Arc::clone(&self.feedback), self.stats_epoch),
-            )
+            let stats = self
+                .stats_cache
+                .lock()
+                .statistics(&self.db, &self.indexes, &self.metrics);
+            Arc::new(stats.with_feedback(Arc::clone(&self.metrics.feedback), self.stats_epoch))
         }))
     }
 }

@@ -28,8 +28,8 @@ pub mod log;
 pub mod record;
 
 pub use crate::log::{
-    list_segments, read_checkpoint, scan, segment_first_lsn, segment_name, CheckpointMeta, LogScan,
-    Wal, SEG_HEADER_LEN,
+    list_segments, read_checkpoint, read_checkpoint_meta, scan, scan_records, segment_first_lsn,
+    segment_name, CheckpointMeta, LogScan, Wal, SEG_HEADER_LEN,
 };
 pub use crate::record::{decode_record, Decoded, IndexDef, IndexKindDef, WalEntry, WalRecord};
 

@@ -18,7 +18,7 @@
 //! new checkpoint with a (harmlessly replayable) prefix of it.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -104,6 +104,18 @@ struct TailState {
     next_txn: u64,
 }
 
+impl TailState {
+    /// The state before any segment is read: what the checkpoint says.
+    fn after(meta: &CheckpointMeta) -> TailState {
+        TailState {
+            last_segment: None,
+            valid_len: None,
+            next_lsn: meta.next_lsn,
+            next_txn: meta.next_txn,
+        }
+    }
+}
+
 /// The canonical file name of the segment whose first record has
 /// `first_lsn`. Zero-padded so lexicographic order is log order —
 /// replication transports rely on this to ship segments in order.
@@ -167,19 +179,43 @@ struct CheckpointProbe {
     version: u32,
 }
 
+fn open_checkpoint(dir: &Path) -> Result<File, WalError> {
+    match File::open(dir.join(CKPT_NAME)) {
+        Ok(f) => Ok(f),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(WalError::NoCheckpoint),
+        Err(e) => Err(WalError::Io(e)),
+    }
+}
+
+fn missing_header() -> WalError {
+    WalError::BadCheckpoint("missing header line".into())
+}
+
 /// Reads the checkpoint file of `dir`.
 pub fn read_checkpoint(dir: &Path) -> Result<(CheckpointMeta, Vec<u8>), WalError> {
-    let path = dir.join(CKPT_NAME);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(WalError::NoCheckpoint),
-        Err(e) => return Err(WalError::Io(e)),
-    };
+    let mut bytes = Vec::new();
+    open_checkpoint(dir)?.read_to_end(&mut bytes)?;
     let nl = bytes
         .iter()
         .position(|&b| b == b'\n')
-        .ok_or_else(|| WalError::BadCheckpoint("missing header line".into()))?;
-    let probe: CheckpointProbe = serde_json::from_slice(&bytes[..nl])
+        .ok_or_else(missing_header)?;
+    let meta = parse_checkpoint_header(&bytes[..nl])?;
+    Ok((meta, bytes[nl + 1..].to_vec()))
+}
+
+/// Reads only the header line of `dir`'s checkpoint — what a poller
+/// needs to notice a new checkpoint without reading its snapshot.
+pub fn read_checkpoint_meta(dir: &Path) -> Result<CheckpointMeta, WalError> {
+    let mut line = Vec::new();
+    BufReader::new(open_checkpoint(dir)?).read_until(b'\n', &mut line)?;
+    if line.pop() != Some(b'\n') {
+        return Err(missing_header());
+    }
+    parse_checkpoint_header(&line)
+}
+
+fn parse_checkpoint_header(line: &[u8]) -> Result<CheckpointMeta, WalError> {
+    let probe: CheckpointProbe = serde_json::from_slice(line)
         .map_err(|e| WalError::BadCheckpoint(format!("undecodable header: {e}")))?;
     if probe.magic != CKPT_MAGIC {
         return Err(WalError::BadCheckpoint(format!(
@@ -193,22 +229,23 @@ pub fn read_checkpoint(dir: &Path) -> Result<(CheckpointMeta, Vec<u8>), WalError
             probe.version
         )));
     }
-    let meta: CheckpointMeta = serde_json::from_slice(&bytes[..nl])
-        .map_err(|e| WalError::BadCheckpoint(format!("undecodable header: {e}")))?;
-    Ok((meta, bytes[nl + 1..].to_vec()))
+    serde_json::from_slice(line)
+        .map_err(|e| WalError::BadCheckpoint(format!("undecodable header: {e}")))
 }
 
-fn scan_inner(dir: &Path) -> Result<(LogScan, TailState), WalError> {
-    let (meta, snapshot) = read_checkpoint(dir)?;
+/// The streaming core of every scan: decodes each segment of `dir` in
+/// log order and hands `f` the checksum-valid records with
+/// `lsn >= meta.next_lsn` as they are decoded, tracking the tail state
+/// [`Wal::open`] needs. Returns whether the log ended torn.
+fn scan_segments(
+    dir: &Path,
+    meta: &CheckpointMeta,
+    tail: &mut TailState,
+    mut f: impl FnMut(WalRecord),
+) -> Result<bool, WalError> {
     let segs = list_segments(dir)?;
-    let mut records = Vec::new();
+    tail.last_segment = segs.last().cloned();
     let mut torn_tail = false;
-    let mut tail = TailState {
-        last_segment: segs.last().cloned(),
-        valid_len: None,
-        next_lsn: meta.next_lsn,
-        next_txn: meta.next_txn,
-    };
     for (i, seg) in segs.iter().enumerate() {
         let is_last = i + 1 == segs.len();
         let data = fs::read(seg)?;
@@ -241,7 +278,7 @@ fn scan_inner(dir: &Path) -> Result<(LogScan, TailState), WalError> {
                     // leftovers (crash between checkpoint installation and
                     // segment deletion): already captured by the snapshot.
                     if rec.lsn >= meta.next_lsn {
-                        records.push(rec);
+                        f(rec);
                     }
                     at = next;
                 }
@@ -258,6 +295,14 @@ fn scan_inner(dir: &Path) -> Result<(LogScan, TailState), WalError> {
             tail.valid_len = Some(at as u64);
         }
     }
+    Ok(torn_tail)
+}
+
+fn scan_inner(dir: &Path) -> Result<(LogScan, TailState), WalError> {
+    let (meta, snapshot) = read_checkpoint(dir)?;
+    let mut tail = TailState::after(&meta);
+    let mut records = Vec::new();
+    let torn_tail = scan_segments(dir, &meta, &mut tail, |rec| records.push(rec))?;
     Ok((
         LogScan {
             meta,
@@ -275,6 +320,18 @@ fn scan_inner(dir: &Path) -> Result<(LogScan, TailState), WalError> {
 /// log can be appended to again.
 pub fn scan(dir: impl AsRef<Path>) -> Result<LogScan, WalError> {
     scan_inner(dir.as_ref()).map(|(s, _)| s)
+}
+
+/// [`scan`] without collecting: after reading the checkpoint (`meta`,
+/// from [`read_checkpoint`]), hands `f` the same valid records, in log
+/// order, as each segment is decoded. Memory stays bounded by one
+/// segment plus whatever `f` keeps, however long the log.
+pub fn scan_records(
+    dir: impl AsRef<Path>,
+    meta: &CheckpointMeta,
+    f: impl FnMut(WalRecord),
+) -> Result<(), WalError> {
+    scan_segments(dir.as_ref(), meta, &mut TailState::after(meta), f).map(|_torn| ())
 }
 
 /// The append half of the write-ahead log: one open segment, rotation,

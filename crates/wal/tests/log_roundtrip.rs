@@ -7,7 +7,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use toposem_extension::LogicalOp;
-use toposem_wal::{scan, FlushPolicy, IndexDef, IndexKindDef, Wal, WalConfig, WalEntry, WalError};
+use toposem_wal::{
+    read_checkpoint_meta, scan, FlushPolicy, IndexDef, IndexKindDef, Wal, WalConfig, WalEntry,
+    WalError,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -70,6 +73,7 @@ fn append_checkpoint_scan_roundtrip() {
 
     let s = scan(&dir).unwrap();
     assert_eq!(s.snapshot, b"snapshot-0");
+    assert_eq!(read_checkpoint_meta(&dir).unwrap(), s.meta);
     assert_eq!(
         s.meta.indexes,
         vec![IndexDef {
@@ -130,6 +134,16 @@ fn version_1_checkpoint_is_rejected_explicitly() {
         }
         other => panic!("v1 checkpoint must be rejected, got {other:?}"),
     }
+    // The header-only reader applies the same checks.
+    match read_checkpoint_meta(&dir) {
+        Err(WalError::BadCheckpoint(why)) => assert!(why.contains("unsupported version 1")),
+        other => panic!("v1 checkpoint must be rejected, got {other:?}"),
+    }
+    fs::write(dir.join("checkpoint.snap"), "no header line").unwrap();
+    assert!(matches!(
+        read_checkpoint_meta(&dir),
+        Err(WalError::BadCheckpoint(_))
+    ));
     fs::remove_dir_all(&dir).unwrap();
 }
 
