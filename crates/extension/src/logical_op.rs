@@ -4,11 +4,11 @@
 //! cannot carry `TypeId`/`AttrId` values — those are positional ids of
 //! one in-memory `Schema`. A [`LogicalOp`] names the entity type and its
 //! attributes *by name* and is re-resolved (and re-validated) against the
-//! live schema at replay time. Replaying an insert goes through
-//! [`Database::insert`], so eager containment propagations are
-//! **re-derived**, never duplicated in the log; replaying a delete goes
-//! through [`Database::delete`], recomputing the ISA cascade the same
-//! way the original execution did.
+//! live schema at replay time ([`LogicalOp::resolve`]). The replayed
+//! instance then goes through [`Database::insert_tracked`], so eager
+//! containment propagations are **re-derived**, never duplicated in the
+//! log, or through [`Database::delete_tracked`], recomputing the ISA
+//! cascade the same way the original execution did.
 
 use serde::{Deserialize, Serialize};
 use toposem_core::TypeId;
@@ -79,21 +79,6 @@ impl LogicalOp {
             Instance::new(db.schema(), db.catalog(), e, &fields).map_err(ReplayError::Invalid)?;
         Ok((e, t))
     }
-
-    /// Replays this op as an insert; containment propagations are
-    /// re-derived by the database's policy. Returns whether the tuple was
-    /// new.
-    pub fn apply_insert(&self, db: &mut Database) -> Result<bool, ReplayError> {
-        let (e, t) = self.resolve(db)?;
-        Ok(db.insert(e, t))
-    }
-
-    /// Replays this op as a delete; the ISA cascade is recomputed.
-    /// Returns the number of tuples removed.
-    pub fn apply_delete(&self, db: &mut Database) -> Result<usize, ReplayError> {
-        let (e, t) = self.resolve(db)?;
-        Ok(db.delete(e, &t))
-    }
 }
 
 #[cfg(test)]
@@ -145,20 +130,23 @@ mod tests {
         assert_eq!(op, manager_op());
 
         let mut replayed = db();
-        assert!(op.apply_insert(&mut replayed).unwrap());
+        let (re, rt) = op.resolve(&replayed).unwrap();
+        assert_eq!((re, &rt), (manager, &t));
+        assert!(replayed.insert(re, rt.clone()));
         // The eager propagations into employee and person were re-derived
         // from the single logical record.
         for e in s.type_ids() {
             assert_eq!(replayed.stored(e), original.stored(e));
         }
         // Replay is idempotent (not new the second time).
-        assert!(!op.apply_insert(&mut replayed).unwrap());
+        assert!(!replayed.insert(re, rt));
     }
 
     #[test]
     fn delete_replay_recomputes_cascade() {
         let mut d = db();
-        manager_op().apply_insert(&mut d).unwrap();
+        let (e, t) = manager_op().resolve(&d).unwrap();
+        d.insert(e, t);
         let person_op = LogicalOp {
             entity: "person".into(),
             fields: vec![
@@ -166,19 +154,20 @@ mod tests {
                 ("age".into(), Value::Int(40)),
             ],
         };
-        assert_eq!(person_op.apply_delete(&mut d).unwrap(), 3);
+        let (e, t) = person_op.resolve(&d).unwrap();
+        assert_eq!(d.delete_tracked(e, &t).len(), 3);
         assert_eq!(d.total_stored(), 0);
     }
 
     #[test]
     fn replay_errors_are_typed() {
-        let mut d = db();
+        let d = db();
         let bad_entity = LogicalOp {
             entity: "starship".into(),
             fields: vec![],
         };
         assert!(matches!(
-            bad_entity.apply_insert(&mut d),
+            bad_entity.resolve(&d),
             Err(ReplayError::UnknownEntity(_))
         ));
         let bad_fields = LogicalOp {
@@ -186,7 +175,7 @@ mod tests {
             fields: vec![("name".into(), Value::str("ann"))],
         };
         assert!(matches!(
-            bad_fields.apply_insert(&mut d),
+            bad_fields.resolve(&d),
             Err(ReplayError::Invalid(InstanceError::MissingAttribute { .. }))
         ));
     }

@@ -239,7 +239,9 @@ pub struct ReplicationMetrics {
     pub bytes_shipped: Counter,
     /// Checkpoints published through the transport.
     pub checkpoints_shipped: Counter,
-    /// WAL records a follower applied from the stream.
+    /// WAL records a follower applied from the stream, one per record
+    /// of any kind; records below its watermark, skipped when a segment
+    /// is re-decoded, do not count.
     pub records_applied: Counter,
     /// Times a follower re-bootstrapped from a newer checkpoint because
     /// the segments it needed were superseded.
@@ -279,11 +281,12 @@ pub struct EngineMetrics {
     pub queries_slow: Counter,
     /// Rows returned by planned queries.
     pub query_rows_returned: Counter,
-    /// Recoveries performed (`Engine::recover` / `from_scan`).
+    /// Log replays performed by `Engine::recover` and `Engine::open`
+    /// (a replica's bootstrap from a checkpoint is not one).
     pub recovery_runs: Counter,
-    /// Committed transactions replayed during recovery.
+    /// `Commit` records replayed by those recoveries.
     pub recovery_replayed_txns: Counter,
-    /// Logical operations replayed during recovery.
+    /// Logical operations the replayed commits applied.
     pub recovery_replayed_ops: Counter,
     /// Worst per-operator q-error of each planned query, recorded as
     /// `q × 100` (so the histogram can stay integral); a value of 100
@@ -498,7 +501,7 @@ pub struct QueryMetrics {
 /// Recovery counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Recoveries performed.
+    /// Log replays by `Engine::recover` or `Engine::open`.
     pub runs: u64,
     /// Committed transactions replayed.
     pub replayed_txns: u64,
@@ -643,7 +646,7 @@ impl MetricsSnapshot {
         );
         counter(
             "toposem_recovery_runs_total",
-            "Recoveries performed",
+            "Log replays by recover or open (replica bootstraps excluded)",
             self.recovery.runs,
         );
         counter(

@@ -3,10 +3,14 @@
 //!
 //! A [`Follower`] owns a read-only [`Engine`] built by
 //! [`Engine::replica_from_checkpoint`] and advances it by feeding every
-//! decoded record to [`Engine::apply_replicated`] — the same
-//! buffering-until-commit logic crash recovery uses, so an aborted
-//! transaction or a torn tail on the primary can never leak partial
-//! state into the replica.
+//! decoded record to [`Engine::apply_replicated`]. Both run the code
+//! `Engine::recover` and `Engine::open` run: one constructor from a
+//! checkpoint and one per-record apply that buffers a transaction's
+//! operations until its `Commit`. An aborted transaction or a torn tail
+//! on the primary therefore never leaks partial state into the replica,
+//! and a commit that fails to apply is applied not at all: the engine's
+//! watermark stays on it, and the round stops there and retries it the
+//! next time instead of skipping past it.
 //!
 //! Per segment the follower keeps one byte offset: the end of the last
 //! CRC-valid frame it decoded. Each round it fetches only bytes past

@@ -3,8 +3,8 @@
 //! Log-shipping replication for the toposem engine: a primary ships its
 //! checkpoint and CRC-framed WAL segments through a pluggable
 //! [`SegmentTransport`], and any number of followers bootstrap from the
-//! checkpoint, replay the shipped segments through the same logic as
-//! crash recovery, and then tail the live segment — each exposing a
+//! checkpoint, replay the shipped segments through the code crash
+//! recovery runs, and then tail the live segment — each exposing a
 //! **read-only** [`Engine`] whose snapshots answer queries
 //! bit-identically to the primary as of the follower's applied LSN.
 //!

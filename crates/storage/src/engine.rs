@@ -25,8 +25,8 @@ use toposem_extension::{Database, Instance, InstanceError, LogicalOp, Value};
 use toposem_fd::{check_fd, Fd};
 use toposem_obs::{EngineMetrics, MetricsSnapshot, PlanCacheStats, QueryTrace, TraceRing};
 use toposem_wal::{
-    CheckpointMeta, FlushPolicy, IndexDef, IndexKindDef, LogScan, Wal, WalConfig, WalEntry,
-    WalError, WalRecord,
+    CheckpointMeta, FlushPolicy, IndexDef, IndexKindDef, Wal, WalConfig, WalEntry, WalError,
+    WalRecord,
 };
 
 use crate::index::{CompositeIndex, HashIndex, Index, IndexKind, OrdIndex};
@@ -198,15 +198,15 @@ struct Inner {
     /// is rejected, and state advances only through
     /// [`Engine::apply_replicated`].
     read_only: bool,
-    /// One past the LSN of the last record applied through
-    /// [`Engine::apply_replicated`] (seeded with the bootstrap
-    /// checkpoint's `next_lsn` on a replica; 0 elsewhere). Records below
-    /// this watermark are idempotently skipped, so a follower can
-    /// re-decode a segment from the start after a disconnect.
+    /// One past the LSN of the last log record applied by
+    /// [`Engine::apply_record`] (seeded with the checkpoint's `next_lsn`
+    /// on an engine built from one; 0 elsewhere). Records below this
+    /// watermark are idempotently skipped, so a follower can re-decode a
+    /// segment from the start after a disconnect.
     applied_lsn: u64,
-    /// Replicated transactions whose `Commit` has not arrived yet:
-    /// their operations buffer here and apply atomically on commit
-    /// (mirroring recovery's commit-order replay) or vanish on abort.
+    /// Logged transactions whose `Commit` has not been applied yet:
+    /// their operations buffer here and apply atomically on commit or
+    /// vanish on abort.
     repl_active: HashMap<u64, Vec<(LogKind, LogicalOp)>>,
 }
 
@@ -224,6 +224,26 @@ impl Inner {
         }
         metrics.stats_epoch_bumps.inc();
         metrics.stats_epoch.set(self.stats_epoch);
+    }
+
+    /// Adds freshly stored `(type, tuple)` pairs — an instance plus its
+    /// eager containment propagations — to every index of their type.
+    fn index_insert(&mut self, pairs: &[(TypeId, Instance)]) {
+        for (s, u) in pairs {
+            for idx in &mut self.indexes[s.index()] {
+                idx.insert(u);
+            }
+        }
+    }
+
+    /// Removes `(type, tuple)` pairs — a delete's cascade victims, or an
+    /// undone insert — from every index of their type.
+    fn index_remove(&mut self, pairs: &[(TypeId, Instance)]) {
+        for (s, u) in pairs {
+            for idx in &mut self.indexes[s.index()] {
+                idx.remove(u);
+            }
+        }
     }
 
     /// Whether the write just made (an autocommitted op or a `commit`)
@@ -400,121 +420,80 @@ impl Drop for GroupCommitFlusher {
     }
 }
 
-/// Recovery's replay of one log: the checkpointed database, then each
-/// record in log order — operations buffer per transaction and apply
-/// when its `Commit` arrives; aborted and unfinished transactions
-/// vanish — while index and FD definitions accumulate for the engine
-/// [`Replay::finish`] builds.
-struct Replay {
-    db: Database,
-    index_defs: Vec<IndexDef>,
-    fd_defs: Vec<(String, String, String)>,
-    active: HashMap<u64, Vec<(LogKind, LogicalOp)>>,
-    replayed_txns: u64,
-    replayed_ops: u64,
+/// The one mapping between live index kinds and the kinds the log and
+/// checkpoints name.
+const INDEX_KINDS: [(IndexKind, IndexKindDef); 3] = [
+    (IndexKind::Hash, IndexKindDef::Hash),
+    (IndexKind::Ordered, IndexKindDef::Ordered),
+    (IndexKind::Composite, IndexKindDef::Composite),
+];
+
+/// The logged/checkpointed definition of the index of `kind` over
+/// `attrs` on `e`.
+fn index_def(
+    schema: &toposem_core::Schema,
+    e: TypeId,
+    kind: IndexKind,
+    attrs: &[toposem_core::AttrId],
+) -> IndexDef {
+    let (_, kind) = INDEX_KINDS
+        .into_iter()
+        .find(|(k, _)| *k == kind)
+        .expect("INDEX_KINDS maps every index kind");
+    IndexDef {
+        entity: schema.type_name(e).to_owned(),
+        kind,
+        attrs: attrs
+            .iter()
+            .map(|a| schema.attr_name(*a).to_owned())
+            .collect(),
+    }
 }
 
-impl Replay {
-    fn new(meta: &CheckpointMeta, snapshot: &[u8]) -> Result<Replay, EngineError> {
-        let db = snapshot::load(snapshot).map_err(|e| EngineError::Recovery(e.to_string()))?;
-        Ok(Replay {
-            index_defs: meta.indexes.clone(),
-            fd_defs: meta.fds.clone(),
-            db,
-            active: HashMap::new(),
-            replayed_txns: 0,
-            replayed_ops: 0,
-        })
-    }
+/// Resolves a logged index definition's names against the live schema.
+fn resolve_index_def(
+    schema: &toposem_core::Schema,
+    def: &IndexDef,
+) -> Result<(TypeId, IndexKind, Vec<toposem_core::AttrId>), EngineError> {
+    let (kind, _) = INDEX_KINDS
+        .into_iter()
+        .find(|(_, d)| *d == def.kind)
+        .expect("INDEX_KINDS maps every logged index kind");
+    let e = schema.type_id(&def.entity);
+    let attrs: Option<Vec<toposem_core::AttrId>> =
+        def.attrs.iter().map(|a| schema.attr_id(a)).collect();
+    let (Some(e), Some(attrs)) = (e, attrs) else {
+        return Err(EngineError::Recovery(format!(
+            "logged index ({}, {:?}) names no schema element",
+            def.entity, def.attrs
+        )));
+    };
+    Ok((e, kind, attrs))
+}
 
-    fn record(&mut self, rec: WalRecord) -> Result<(), EngineError> {
-        match rec.entry {
-            WalEntry::Begin { txn } => {
-                self.active.insert(txn, Vec::new());
-            }
-            WalEntry::Insert { txn, op } => {
-                self.active
-                    .entry(txn)
-                    .or_default()
-                    .push((LogKind::Insert, op));
-            }
-            WalEntry::Delete { txn, op } => {
-                self.active
-                    .entry(txn)
-                    .or_default()
-                    .push((LogKind::Delete, op));
-            }
-            WalEntry::Commit { txn } => {
-                self.replayed_txns += 1;
-                for (kind, op) in self.active.remove(&txn).unwrap_or_default() {
-                    self.replayed_ops += 1;
-                    let res = match kind {
-                        LogKind::Insert => op.apply_insert(&mut self.db).map(|_| ()),
-                        LogKind::Delete => op.apply_delete(&mut self.db).map(|_| ()),
-                    };
-                    res.map_err(|e| EngineError::Recovery(e.to_string()))?;
-                }
-            }
-            WalEntry::Abort { txn } => {
-                self.active.remove(&txn);
-            }
-            WalEntry::Checkpoint { .. } => {}
-            WalEntry::CreateIndex { def } => self.index_defs.push(def),
-            // Drops are applied to the accumulated definition list in
-            // log order, so create/drop/create replays to one index.
-            WalEntry::DropIndex { def } => self.index_defs.retain(|d| *d != def),
-            WalEntry::DeclareFd { lhs, rhs, context } => self.fd_defs.push((lhs, rhs, context)),
-        }
-        Ok(())
-    }
+/// The logged/checkpointed `(lhs, rhs, context)` names of a declared FD.
+fn fd_names(schema: &toposem_core::Schema, fd: &Fd) -> (String, String, String) {
+    (
+        schema.type_name(fd.lhs).to_owned(),
+        schema.type_name(fd.rhs).to_owned(),
+        schema.type_name(fd.context).to_owned(),
+    )
+}
 
-    /// The recovered engine. Transactions still in flight never
-    /// committed: discarded.
-    fn finish(self) -> Result<Engine, EngineError> {
-        let eng = Engine::new(self.db);
-        eng.metrics.recovery_runs.inc();
-        eng.metrics.recovery_replayed_txns.add(self.replayed_txns);
-        eng.metrics.recovery_replayed_ops.add(self.replayed_ops);
-        for def in self.index_defs {
-            let e = eng.with_db(|db| db.schema().type_id(&def.entity));
-            let attrs: Option<Vec<toposem_core::AttrId>> =
-                eng.with_db(|db| def.attrs.iter().map(|a| db.schema().attr_id(a)).collect());
-            let (Some(e), Some(attrs)) = (e, attrs) else {
-                return Err(EngineError::Recovery(format!(
-                    "logged index ({}, {:?}) names no schema element",
-                    def.entity, def.attrs
-                )));
-            };
-            let kind = match def.kind {
-                IndexKindDef::Hash => IndexKind::Hash,
-                IndexKindDef::Ordered => IndexKind::Ordered,
-                IndexKindDef::Composite => IndexKind::Composite,
-            };
-            eng.create_index_of(e, kind, &attrs)?;
-        }
-        // Every replayed mutation passed its FD checks on the live
-        // engine, so the recovered state satisfies every declared FD;
-        // re-declaring at the end re-verifies that and restores
-        // enforcement for post-recovery writes.
-        for (lhs, rhs, context) in self.fd_defs {
-            let resolved = eng.with_db(|db| {
-                let s = db.schema();
-                Some(Fd::unchecked(
-                    s.type_id(&lhs)?,
-                    s.type_id(&rhs)?,
-                    s.type_id(&context)?,
-                ))
-            });
-            match resolved {
-                Some(fd) => eng.declare_fd(fd)?,
-                None => {
-                    return Err(EngineError::Recovery(format!(
-                        "logged fd ({lhs}, {rhs}, {context}) names no schema element"
-                    )))
-                }
-            }
-        }
-        Ok(eng)
+/// Resolves a logged FD's names against the live schema.
+fn resolve_fd(
+    schema: &toposem_core::Schema,
+    (lhs, rhs, context): (&str, &str, &str),
+) -> Result<Fd, EngineError> {
+    match (
+        schema.type_id(lhs),
+        schema.type_id(rhs),
+        schema.type_id(context),
+    ) {
+        (Some(l), Some(r), Some(c)) => Ok(Fd::unchecked(l, r, c)),
+        _ => Err(EngineError::Recovery(format!(
+            "logged fd ({lhs}, {rhs}, {context}) names no schema element"
+        ))),
     }
 }
 
@@ -596,7 +575,11 @@ impl Engine {
     /// any torn tail, and continues appending to the same log.
     pub fn open(path: impl AsRef<Path>, cfg: WalConfig) -> Result<Engine, EngineError> {
         let (wal, scan) = Wal::open(path, cfg)?;
-        let mut eng = Self::from_scan(scan)?;
+        let mut eng = Self::from_checkpoint(&scan.meta, &scan.snapshot)?;
+        eng.replay_log(|apply| {
+            scan.records.iter().for_each(apply);
+            Ok(())
+        })?;
         eng.attach_wal(wal);
         Ok(eng)
     }
@@ -610,216 +593,218 @@ impl Engine {
     /// replayed as they are decoded, so memory stays bounded by the
     /// transactions in flight, not by the length of the log.
     pub fn recover(path: impl AsRef<Path>) -> Result<Engine, EngineError> {
-        let (meta, snapshot) = toposem_wal::read_checkpoint(path.as_ref())?;
-        let mut replay = Replay::new(&meta, &snapshot)?;
-        let mut failed = None;
-        toposem_wal::scan_records(path, &meta, |rec| {
-            if failed.is_none() {
-                failed = replay.record(rec).err();
-            }
-        })?;
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        let eng = replay.finish()?;
+        let path = path.as_ref();
+        let (meta, snapshot) = toposem_wal::read_checkpoint(path)?;
+        let eng = Self::from_checkpoint(&meta, &snapshot)?;
+        eng.replay_log(|apply| toposem_wal::scan_records(path, &meta, |rec| apply(&rec)))?;
         // Rebuild statistics eagerly so the recovered engine is
         // immediately plannable.
         let _ = eng.statistics();
         Ok(eng)
     }
 
-    /// Replays a scanned log into a fresh engine: committed transactions
-    /// only, applied in commit order, with indexes and declared FDs
-    /// restored from the checkpoint's and log's definitions.
-    fn from_scan(scan: LogScan) -> Result<Engine, EngineError> {
-        let mut replay = Replay::new(&scan.meta, &scan.snapshot)?;
-        for rec in scan.records {
-            replay.record(rec)?;
+    /// The one constructor from a checkpoint, under [`Engine::open`],
+    /// [`Engine::recover`], and [`Engine::replica_from_checkpoint`]:
+    /// loads the snapshot payload, installs the meta's index and FD
+    /// definitions, and sets the log watermark to `meta.next_lsn`.
+    fn from_checkpoint(meta: &CheckpointMeta, snapshot: &[u8]) -> Result<Engine, EngineError> {
+        let db = snapshot::load(snapshot).map_err(|e| EngineError::Recovery(e.to_string()))?;
+        let eng = Engine::new(db);
+        {
+            let mut inner = eng.inner.write();
+            for def in &meta.indexes {
+                let (e, kind, attrs) = resolve_index_def(inner.db.schema(), def)?;
+                Self::create_index_locked(&mut inner, &eng.metrics, e, kind, &attrs)?;
+            }
+            for (lhs, rhs, context) in &meta.fds {
+                let fd = resolve_fd(inner.db.schema(), (lhs, rhs, context))?;
+                Self::declare_fd_locked(&mut inner, fd)?;
+            }
+            inner.applied_lsn = meta.next_lsn;
         }
-        replay.finish()
+        Ok(eng)
     }
 
-    /// Builds a **read-only replica** engine from a shipped checkpoint:
-    /// the snapshot payload plus the meta's index and FD definitions,
-    /// exactly as recovery would install them, with the applied-LSN
-    /// watermark seeded at the checkpoint's `next_lsn`. The replica's
-    /// state then advances only through [`Engine::apply_replicated`];
-    /// every public mutator returns [`EngineError::ReadOnly`].
+    /// Replays the records `feed` hands to its callback through
+    /// [`Engine::apply_record`] and counts the run as a recovery. The
+    /// first failing record fails the whole replay; transactions still
+    /// in flight at the end never committed and are discarded.
+    fn replay_log(
+        &self,
+        feed: impl FnOnce(&mut dyn FnMut(&WalRecord)) -> Result<(), WalError>,
+    ) -> Result<(), EngineError> {
+        let mut inner = self.inner.write();
+        let (mut txns, mut ops) = (0, 0);
+        let mut replayed = Ok(());
+        feed(&mut |rec| {
+            if replayed.is_ok() {
+                match Self::apply_record(&mut inner, &self.metrics, rec) {
+                    Ok(Some(n)) => {
+                        txns += 1;
+                        ops += n;
+                    }
+                    Ok(None) => {}
+                    Err(e) => replayed = Err(e),
+                }
+            }
+        })?;
+        replayed?;
+        inner.repl_active.clear();
+        self.metrics.recovery_runs.inc();
+        self.metrics.recovery_replayed_txns.add(txns);
+        self.metrics.recovery_replayed_ops.add(ops);
+        Ok(())
+    }
+
+    /// Builds a **read-only replica** engine from a shipped checkpoint —
+    /// the same construction recovery starts from, with the applied-LSN
+    /// watermark at the checkpoint's `next_lsn`. The replica's state
+    /// then advances only through [`Engine::apply_replicated`]; every
+    /// public mutator returns [`EngineError::ReadOnly`].
     pub fn replica_from_checkpoint(
         meta: CheckpointMeta,
         snapshot: Vec<u8>,
     ) -> Result<Engine, EngineError> {
-        let applied = meta.next_lsn;
-        let eng = Self::from_scan(LogScan {
-            meta,
-            snapshot,
-            records: Vec::new(),
-            torn_tail: false,
-        })?;
+        let eng = Self::from_checkpoint(&meta, &snapshot)?;
         {
             let mut inner = eng.inner.write();
             inner.read_only = true;
-            inner.applied_lsn = applied;
-            // Index/FD replay marked the primed snapshot stale; rebuild
-            // so the first replica reader is lock-free immediately.
+            // Index installation marked the primed snapshot stale;
+            // rebuild so the first replica reader is lock-free
+            // immediately.
             inner.refresh_snapshot(&eng.metrics);
         }
-        eng.metrics.repl.applied_lsn.set(applied);
+        eng.metrics.repl.applied_lsn.set(meta.next_lsn);
         Ok(eng)
     }
 
-    /// Applies one shipped WAL record to a replica, mirroring recovery's
-    /// commit-order replay against the *live* engine: operations buffer
-    /// per transaction and take effect (with index maintenance) only
-    /// when the `Commit` record arrives; aborted transactions vanish.
-    /// Records below the applied-LSN watermark are skipped idempotently,
-    /// so a follower may re-decode a segment from the start after a
-    /// disconnect without double-applying.
-    ///
-    /// FD checks are *not* re-run per operation — the primary validated
-    /// them before logging, and a replica rejecting a committed record
-    /// could only diverge. DDL records (index create/drop, FD
-    /// declarations) apply immediately, as they do in the log.
+    /// Applies one shipped WAL record to a replica through the code
+    /// recovery and reopen replay with, and advances the replication
+    /// metrics. Operations buffer per transaction and take effect, with
+    /// index maintenance, when the `Commit` arrives; DDL applies at its
+    /// log position. A record below the applied-LSN watermark is a
+    /// no-op, so a follower may re-decode a segment from the start after
+    /// a disconnect without double-applying, and counts in no metric.
+    /// A `Commit` that fails is applied not at all and leaves the
+    /// watermark on it, so a retry fails the same way instead of
+    /// skipping past half a transaction.
     pub fn apply_replicated(&self, rec: &WalRecord) -> Result<(), EngineError> {
         let mut inner = self.inner.write();
-        if rec.lsn < inner.applied_lsn {
-            return Ok(());
+        let before = inner.applied_lsn;
+        Self::apply_record(&mut inner, &self.metrics, rec)?;
+        if inner.applied_lsn != before {
+            self.metrics.repl.records_applied.inc();
+            self.metrics.repl.applied_lsn.set(inner.applied_lsn);
         }
+        Ok(())
+    }
+
+    /// The one path from a log record to engine state, under recovery,
+    /// reopen, and replica apply. Records below the applied-LSN
+    /// watermark are skipped. Transactional records buffer per
+    /// transaction until their `Commit` applies them (see
+    /// [`Engine::apply_committed`]) or their `Abort` drops them; DDL
+    /// records apply at their log position. Returns the operation count
+    /// of the transaction a `Commit` record applied.
+    ///
+    /// FD checks are *not* re-run per operation — the primary validated
+    /// them before logging, and a replay rejecting a committed record
+    /// could only diverge. A logged FD declaration is checked against
+    /// the state at its log position, as the primary checked it.
+    fn apply_record(
+        inner: &mut Inner,
+        metrics: &EngineMetrics,
+        rec: &WalRecord,
+    ) -> Result<Option<u64>, EngineError> {
+        if rec.lsn < inner.applied_lsn {
+            return Ok(None);
+        }
+        let mut committed = None;
         match &rec.entry {
             WalEntry::Begin { txn } => {
                 inner.repl_active.insert(*txn, Vec::new());
             }
             WalEntry::Insert { txn, op } => {
-                inner
-                    .repl_active
-                    .entry(*txn)
-                    .or_default()
-                    .push((LogKind::Insert, op.clone()));
+                let ops = inner.repl_active.entry(*txn).or_default();
+                ops.push((LogKind::Insert, op.clone()));
             }
             WalEntry::Delete { txn, op } => {
-                inner
-                    .repl_active
-                    .entry(*txn)
-                    .or_default()
-                    .push((LogKind::Delete, op.clone()));
+                let ops = inner.repl_active.entry(*txn).or_default();
+                ops.push((LogKind::Delete, op.clone()));
             }
             WalEntry::Commit { txn } => {
-                let ops = inner.repl_active.remove(txn).unwrap_or_default();
-                let n = ops.len() as u64;
-                if n > 0 {
-                    inner.retire_snapshot();
-                }
-                for (kind, op) in ops {
-                    Self::apply_replicated_op(&mut inner, kind, &op)?;
-                }
-                if n > 0 {
-                    // Outside any local transaction, so this also marks
-                    // the cached snapshot stale: the next replica reader
-                    // materialises the freshly applied commit.
-                    inner.note_mutation(&self.metrics);
-                }
-                self.metrics.repl.records_applied.add(n);
+                committed = Some(Self::apply_committed(inner, metrics, *txn)?);
             }
             WalEntry::Abort { txn } => {
                 inner.repl_active.remove(txn);
             }
             WalEntry::Checkpoint { .. } => {}
             WalEntry::CreateIndex { def } => {
-                let (e, kind, attrs) = Self::resolve_index_def(&inner.db, def)?;
-                Self::create_index_locked(&mut inner, &self.metrics, e, kind, &attrs)?;
+                let (e, kind, attrs) = resolve_index_def(inner.db.schema(), def)?;
+                Self::create_index_locked(inner, metrics, e, kind, &attrs)?;
             }
             WalEntry::DropIndex { def } => {
-                let (e, kind, attrs) = Self::resolve_index_def(&inner.db, def)?;
-                Self::drop_index_locked(&mut inner, &self.metrics, e, kind, &attrs)?;
+                let (e, kind, attrs) = resolve_index_def(inner.db.schema(), def)?;
+                Self::drop_index_locked(inner, metrics, e, kind, &attrs)?;
             }
             WalEntry::DeclareFd { lhs, rhs, context } => {
-                let resolved = {
-                    let s = inner.db.schema();
-                    match (s.type_id(lhs), s.type_id(rhs), s.type_id(context)) {
-                        (Some(l), Some(r), Some(c)) => Some(Fd::unchecked(l, r, c)),
-                        _ => None,
-                    }
-                };
-                let fd = resolved.ok_or_else(|| {
-                    EngineError::Recovery(format!(
-                        "replicated fd ({lhs}, {rhs}, {context}) names no schema element"
-                    ))
-                })?;
-                if !check_fd(&inner.db, &fd).holds() {
-                    return Err(EngineError::FdViolation(fd));
-                }
-                inner.declared_fds.push(fd);
+                let fd = resolve_fd(inner.db.schema(), (lhs, rhs, context))?;
+                Self::declare_fd_locked(inner, fd)?;
             }
         }
         inner.applied_lsn = rec.lsn + 1;
-        self.metrics.repl.applied_lsn.set(inner.applied_lsn);
-        Ok(())
+        Ok(committed)
     }
 
-    /// Applies one committed replicated operation against the live
-    /// database, maintaining every affected index — the live-apply
-    /// mirror of recovery's `apply_insert`/`apply_delete` (which can
-    /// ignore indexes because recovery builds them afterwards).
-    fn apply_replicated_op(
+    /// Applies the buffered operations of committed transaction `txn`,
+    /// maintaining every affected index, and returns how many there
+    /// were. Every operation is resolved against the schema before
+    /// anything is mutated: if one fails, nothing is applied and the
+    /// operations stay buffered, so a retry fails the same way.
+    fn apply_committed(
         inner: &mut Inner,
-        kind: LogKind,
-        op: &LogicalOp,
-    ) -> Result<(), EngineError> {
-        let (e, t) = op
-            .resolve(&inner.db)
+        metrics: &EngineMetrics,
+        txn: u64,
+    ) -> Result<u64, EngineError> {
+        let resolved = inner
+            .repl_active
+            .get(&txn)
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .map(|(kind, op)| op.resolve(&inner.db).map(|(e, t)| (*kind, e, t)))
+            .collect::<Result<Vec<_>, _>>()
             .map_err(|e| EngineError::Recovery(e.to_string()))?;
-        match kind {
-            LogKind::Insert => {
-                let added = inner.db.insert_tracked(e, t);
-                for (s, u) in &added {
-                    for idx in &mut inner.indexes[s.index()] {
-                        idx.insert(u);
-                    }
+        inner.repl_active.remove(&txn);
+        let n = resolved.len() as u64;
+        if n == 0 {
+            return Ok(0);
+        }
+        inner.retire_snapshot();
+        for (kind, e, t) in resolved {
+            match kind {
+                LogKind::Insert => {
+                    let added = inner.db.insert_tracked(e, t);
+                    inner.index_insert(&added);
                 }
-            }
-            LogKind::Delete => {
-                // The logged op addresses one instance; specialisations
-                // that project onto it go too, and their index entries
-                // with them.
-                let victims = inner.db.delete_tracked(e, &t);
-                for (s, u) in &victims {
-                    for idx in &mut inner.indexes[s.index()] {
-                        idx.remove(u);
-                    }
+                LogKind::Delete => {
+                    // The logged op addresses one instance; its cascade
+                    // is recomputed, index entries included.
+                    let victims = inner.db.delete_tracked(e, &t);
+                    inner.index_remove(&victims);
                 }
             }
         }
-        Ok(())
+        // Outside any local transaction, so this also marks the cached
+        // snapshot stale: the next reader materialises the commit.
+        inner.note_mutation(metrics);
+        Ok(n)
     }
 
-    /// Resolves a logged index definition's names against the live
-    /// schema (shared by replicated create and drop application).
-    fn resolve_index_def(
-        db: &Database,
-        def: &IndexDef,
-    ) -> Result<(TypeId, IndexKind, Vec<toposem_core::AttrId>), EngineError> {
-        let schema = db.schema();
-        let e = schema.type_id(&def.entity);
-        let attrs: Option<Vec<toposem_core::AttrId>> =
-            def.attrs.iter().map(|a| schema.attr_id(a)).collect();
-        let (Some(e), Some(attrs)) = (e, attrs) else {
-            return Err(EngineError::Recovery(format!(
-                "replicated index ({}, {:?}) names no schema element",
-                def.entity, def.attrs
-            )));
-        };
-        let kind = match def.kind {
-            IndexKindDef::Hash => IndexKind::Hash,
-            IndexKindDef::Ordered => IndexKind::Ordered,
-            IndexKindDef::Composite => IndexKind::Composite,
-        };
-        Ok((e, kind, attrs))
-    }
-
-    /// One past the LSN of the last record applied through
-    /// [`Engine::apply_replicated`] — the replica's consistency
-    /// watermark (a checkpoint-bootstrapped replica starts at the
-    /// checkpoint's `next_lsn`; 0 on a non-replica engine).
+    /// One past the LSN of the last log record this engine applied —
+    /// by recovery, reopen, or [`Engine::apply_replicated`]; an engine
+    /// built from a checkpoint starts at its `next_lsn`, one built by
+    /// [`Engine::new`] or [`Engine::durable`] at 0. On a replica this is
+    /// the consistency watermark reads wait on.
     pub fn applied_lsn(&self) -> u64 {
         self.inner.read().applied_lsn
     }
@@ -884,19 +869,13 @@ impl Engine {
             .flat_map(|e| {
                 inner.indexes[e.index()]
                     .iter()
-                    .map(move |idx| Self::describe_index(schema, e, idx))
+                    .map(move |idx| index_def(schema, e, idx.kind(), &idx.attrs()))
             })
             .collect();
         let fds: Vec<(String, String, String)> = inner
             .declared_fds
             .iter()
-            .map(|fd| {
-                (
-                    schema.type_name(fd.lhs).to_owned(),
-                    schema.type_name(fd.rhs).to_owned(),
-                    schema.type_name(fd.context).to_owned(),
-                )
-            })
+            .map(|fd| fd_names(schema, fd))
             .collect();
         inner
             .wal
@@ -915,40 +894,24 @@ impl Engine {
         if inner.read_only {
             return Err(EngineError::ReadOnly);
         }
-        if !check_fd(&inner.db, &fd).holds() {
-            return Err(EngineError::FdViolation(fd));
-        }
-        inner.declared_fds.push(fd);
-        let (lhs, rhs, context) = {
-            let schema = inner.db.schema();
-            (
-                schema.type_name(fd.lhs).to_owned(),
-                schema.type_name(fd.rhs).to_owned(),
-                schema.type_name(fd.context).to_owned(),
-            )
-        };
+        Self::declare_fd_locked(&mut inner, fd)?;
+        let inner = &mut *inner;
         if let Some(wal) = inner.wal.as_mut() {
+            let (lhs, rhs, context) = fd_names(inner.db.schema(), &fd);
             wal.append(WalEntry::DeclareFd { lhs, rhs, context })?;
             wal.flush()?;
         }
         Ok(())
     }
 
-    /// The logged/checkpointed definition of one live index.
-    fn describe_index(schema: &toposem_core::Schema, e: TypeId, idx: &Index) -> IndexDef {
-        IndexDef {
-            entity: schema.type_name(e).to_owned(),
-            kind: match idx.kind() {
-                IndexKind::Hash => IndexKindDef::Hash,
-                IndexKind::Ordered => IndexKindDef::Ordered,
-                IndexKind::Composite => IndexKindDef::Composite,
-            },
-            attrs: idx
-                .attrs()
-                .iter()
-                .map(|a| schema.attr_name(*a).to_owned())
-                .collect(),
+    /// The lock-held body of [`Engine::declare_fd`], shared with replay:
+    /// enforces `fd` from now on, unless the data already violates it.
+    fn declare_fd_locked(inner: &mut Inner, fd: Fd) -> Result<(), EngineError> {
+        if !check_fd(&inner.db, &fd).holds() {
+            return Err(EngineError::FdViolation(fd));
         }
+        inner.declared_fds.push(fd);
+        Ok(())
     }
 
     /// Builds a hash index on one attribute of `e`'s stored relation.
@@ -997,8 +960,8 @@ impl Engine {
     }
 
     /// The lock-held body of [`Engine::create_index_of`], shared with
-    /// replicated-DDL application (which holds the lock already and must
-    /// bypass the read-only guard).
+    /// log replay (which holds the lock already and must bypass the
+    /// read-only guard).
     fn create_index_locked(
         inner: &mut Inner,
         metrics: &EngineMetrics,
@@ -1050,12 +1013,8 @@ impl Engine {
         slot.push(idx);
         // Index presence changes access paths: invalidate cached plans.
         inner.note_mutation(metrics);
-        let def = {
-            let schema = inner.db.schema();
-            let idx = inner.indexes[e.index()].last().expect("just pushed");
-            Self::describe_index(schema, e, idx)
-        };
         if let Some(wal) = inner.wal.as_mut() {
+            let def = index_def(inner.db.schema(), e, kind, attrs);
             wal.append(WalEntry::CreateIndex { def })?;
             wal.flush()?;
         }
@@ -1080,8 +1039,8 @@ impl Engine {
         Self::drop_index_locked(&mut inner, &self.metrics, e, kind, attrs)
     }
 
-    /// The lock-held body of [`Engine::drop_index`], shared with
-    /// replicated-DDL application.
+    /// The lock-held body of [`Engine::drop_index`], shared with log
+    /// replay.
     fn drop_index_locked(
         inner: &mut Inner,
         metrics: &EngineMetrics,
@@ -1096,22 +1055,8 @@ impl Engine {
             return Ok(false);
         }
         inner.note_mutation(metrics);
-        let def = {
-            let schema = inner.db.schema();
-            IndexDef {
-                entity: schema.type_name(e).to_owned(),
-                kind: match kind {
-                    IndexKind::Hash => IndexKindDef::Hash,
-                    IndexKind::Ordered => IndexKindDef::Ordered,
-                    IndexKind::Composite => IndexKindDef::Composite,
-                },
-                attrs: attrs
-                    .iter()
-                    .map(|a| schema.attr_name(*a).to_owned())
-                    .collect(),
-            }
-        };
         if let Some(wal) = inner.wal.as_mut() {
+            let def = index_def(inner.db.schema(), e, kind, attrs);
             wal.append(WalEntry::DropIndex { def })?;
             wal.flush()?;
         }
@@ -1200,14 +1145,9 @@ impl Engine {
                 return Err(EngineError::FdViolation(*fd));
             }
         }
-        // Maintain every affected index: eager containment stores projected
-        // tuples in generalisation relations too, and their indexes must
-        // see them (delete/rollback already walk the full pair list).
-        for (s, u) in &added {
-            for idx in &mut inner.indexes[s.index()] {
-                idx.insert(u);
-            }
-        }
+        // Eager containment stores projected tuples in generalisation
+        // relations too, and their indexes must see them.
+        inner.index_insert(&added);
         if let Some(log) = &mut inner.txn_log {
             log.push(Undo::UnInsert(added));
         }
@@ -1236,11 +1176,7 @@ impl Engine {
         // What the cascade removed, for undo and index upkeep.
         let victims = inner.db.delete_tracked(e, t);
         let removed = victims.len();
-        for (s, u) in &victims {
-            for idx in &mut inner.indexes[s.index()] {
-                idx.remove(u);
-            }
-        }
+        inner.index_remove(&victims);
         if removed > 0 {
             if let Some(log) = &mut inner.txn_log {
                 log.push(Undo::Restore(victims));
@@ -1382,21 +1318,17 @@ impl Engine {
         for entry in log.into_iter().rev() {
             match entry {
                 Undo::UnInsert(added) => {
-                    for (s, u) in added {
-                        inner.db.stored_remove(s, &u);
-                        for idx in &mut inner.indexes[s.index()] {
-                            idx.remove(&u);
-                        }
+                    for (s, u) in &added {
+                        inner.db.stored_remove(*s, u);
                     }
+                    inner.index_remove(&added);
                 }
                 Undo::Restore(victims) => {
                     // Exactly the removed pairs go back: the delete never
                     // touched generalisations, so nothing needs
                     // re-propagating.
+                    inner.index_insert(&victims);
                     for (s, u) in victims {
-                        for idx in &mut inner.indexes[s.index()] {
-                            idx.insert(&u);
-                        }
                         inner.db.insert_unchecked(s, u);
                     }
                 }

@@ -11,10 +11,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use toposem_core::{employee_schema, Intension};
-use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Instance, Value};
-use toposem_storage::{snapshot, Engine, EngineError};
-use toposem_wal::{FlushPolicy, Wal, WalConfig};
+use toposem_core::{employee_schema, AttrId, GeneralisationTopology, Intension, TypeId};
+use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Instance, LogicalOp, Value};
+use toposem_fd::Fd;
+use toposem_storage::{snapshot, Engine, EngineError, IndexKind, Statistics};
+use toposem_wal::{FlushPolicy, Wal, WalConfig, WalEntry, WalRecord};
 
 const NAMES: [&str; 5] = ["ann", "bob", "carol", "dave", "eve"];
 const DEPS: [&str; 3] = ["sales", "research", "admin"];
@@ -371,6 +372,119 @@ fn durability_api_guards() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A replica built from `dir`'s checkpoint, before any record applies.
+fn replica_of(dir: &Path) -> (Engine, Vec<WalRecord>) {
+    let scan = toposem_wal::scan(dir).unwrap();
+    let replica = Engine::replica_from_checkpoint(scan.meta, scan.snapshot).unwrap();
+    (replica, scan.records)
+}
+
+/// A replicated commit applies whole or not at all. One op of the
+/// transaction names an entity the schema lacks, so the `Commit` fails:
+/// nothing of the transaction may land, the watermark stays on the
+/// `Commit`, and a retry fails the same way instead of skipping it.
+#[test]
+fn a_replicated_commit_that_cannot_resolve_applies_nothing() {
+    let dir = temp_dir("partial");
+    drop(durable_engine(&dir, FlushPolicy::PerCommit));
+    let (replica, _) = replica_of(&dir);
+    let base = replica.applied_lsn();
+    let op = |entity: &str| LogicalOp {
+        entity: entity.into(),
+        fields: vec![
+            ("name".into(), Value::str("ann")),
+            ("age".into(), Value::Int(40)),
+            ("depname".into(), Value::str("sales")),
+        ],
+    };
+    let records: Vec<WalRecord> = [
+        WalEntry::Begin { txn: 7 },
+        WalEntry::Insert {
+            txn: 7,
+            op: op("employee"),
+        },
+        WalEntry::Insert {
+            txn: 7,
+            op: op("starship"),
+        },
+        WalEntry::Commit { txn: 7 },
+    ]
+    .into_iter()
+    .zip(base..)
+    .map(|(entry, lsn)| WalRecord { lsn, entry })
+    .collect();
+    let stored = || replica.with_db(|db| db.total_stored());
+    for rec in &records[..3] {
+        replica.apply_replicated(rec).unwrap();
+    }
+    let before = stored();
+    let commit = &records[3];
+    assert!(replica.apply_replicated(commit).is_err());
+    assert_eq!(stored(), before, "a failed commit must apply nothing");
+    assert_eq!(replica.applied_lsn(), commit.lsn, "watermark moved past it");
+    let stats = replica.statistics();
+    replica.with_parts(|db, indexes| {
+        let reference = Statistics::collect_reference(db, indexes);
+        for e in db.schema().type_ids() {
+            assert_eq!(stats.type_stats(e), reference.type_stats(e));
+        }
+    });
+    assert!(
+        replica.apply_replicated(commit).is_err(),
+        "a retried commit must fail again, not be skipped"
+    );
+    assert_eq!(stored(), before);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Recovery counters count `Engine::recover` and `Engine::open` only:
+/// one run, one replayed transaction per applied `Commit`, one op per
+/// logged operation. A replica's bootstrap and apply are no recovery.
+#[test]
+fn recovery_metrics_count_log_replays_not_replica_bootstraps() {
+    let dir = temp_dir("metrics");
+    let eng = durable_engine(&dir, FlushPolicy::PerCommit);
+    // Three autocommitted transactions, one explicit one of two ops,
+    // and a rolled-back one that replay must not count.
+    for (n, a) in [("ann", 40), ("bob", 30), ("carol", 25)] {
+        insert_employee(&eng, n, a, "sales");
+    }
+    eng.begin().unwrap();
+    insert_employee(&eng, "dave", 45, "admin");
+    insert_employee(&eng, "eve", 35, "admin");
+    eng.commit().unwrap();
+    eng.begin().unwrap();
+    insert_employee(&eng, "ghost", 99, "admin");
+    eng.rollback().unwrap();
+    drop(eng);
+
+    let recovery = |eng: &Engine| {
+        let r = eng.metrics_snapshot().recovery;
+        (r.runs, r.replayed_txns, r.replayed_ops)
+    };
+    assert_eq!(recovery(&Engine::recover(&dir).unwrap()), (1, 4, 5));
+    let image = temp_dir("metrics-open");
+    copy_dir(&dir, &image);
+    let cfg = WalConfig {
+        flush: FlushPolicy::PerCommit,
+        segment_bytes: 2048,
+    };
+    assert_eq!(recovery(&Engine::open(&image, cfg).unwrap()), (1, 4, 5));
+
+    let (replica, records) = replica_of(&dir);
+    assert_eq!(recovery(&replica), (0, 0, 0));
+    for rec in records.iter().chain(&records) {
+        replica.apply_replicated(rec).unwrap();
+    }
+    assert_eq!(recovery(&replica), (0, 0, 0));
+    // One per record applied; the second pass is below the watermark.
+    let repl = replica.metrics_snapshot().repl;
+    assert_eq!(repl.records_applied, records.len() as u64);
+    assert_eq!(repl.applied_lsn, replica.applied_lsn());
+    fs::remove_dir_all(&dir).unwrap();
+    fs::remove_dir_all(&image).unwrap();
+}
+
 /// Copies a log directory (the "crash image" the fuzzer mutates).
 fn copy_dir(src: &Path, dst: &Path) {
     fs::create_dir_all(dst).unwrap();
@@ -474,11 +588,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Runs one workload op. An insert the declared FD rejects is part of
+/// the workload: engine and shadow reject it alike.
 fn apply_op(eng: &Engine, op: &Op) {
     let s = eng.with_db(|db| db.schema().clone());
-    match op {
-        Op::Employee(n, a, d) => {
-            eng.insert(
+    let res = match op {
+        Op::Employee(n, a, d) => eng
+            .insert(
                 s.type_id("employee").unwrap(),
                 &[
                     ("name", Value::str(NAMES[*n])),
@@ -486,10 +602,9 @@ fn apply_op(eng: &Engine, op: &Op) {
                     ("depname", Value::str(DEPS[*d])),
                 ],
             )
-            .unwrap();
-        }
-        Op::Manager(n, a, d, b) => {
-            eng.insert(
+            .map(drop),
+        Op::Manager(n, a, d, b) => eng
+            .insert(
                 s.type_id("manager").unwrap(),
                 &[
                     ("name", Value::str(NAMES[*n])),
@@ -498,8 +613,7 @@ fn apply_op(eng: &Engine, op: &Op) {
                     ("budget", Value::Int(*b)),
                 ],
             )
-            .unwrap();
-        }
+            .map(drop),
         Op::DeletePerson(n, a) => {
             let person = s.type_id("person").unwrap();
             let t = eng.with_db(|db| {
@@ -511,21 +625,63 @@ fn apply_op(eng: &Engine, op: &Op) {
                 )
                 .unwrap()
             });
-            eng.delete(person, &t).unwrap();
+            eng.delete(person, &t).map(drop)
         }
+    };
+    match res {
+        Ok(()) | Err(EngineError::FdViolation(_)) => {}
+        Err(e) => panic!("{op:?} failed: {e}"),
     }
+}
+
+/// The employee indexes the workload toggles: hash on `depname`,
+/// ordered on `age`, composite on `(depname, name)`.
+fn employee_index(eng: &Engine, which: usize) -> (TypeId, IndexKind, Vec<AttrId>) {
+    eng.with_db(|db| {
+        let s = db.schema();
+        let attr = |a| s.attr_id(a).unwrap();
+        let (kind, attrs) = [
+            (IndexKind::Hash, vec![attr("depname")]),
+            (IndexKind::Ordered, vec![attr("age")]),
+            (IndexKind::Composite, vec![attr("depname"), attr("name")]),
+        ][which]
+            .clone();
+        (s.type_id("employee").unwrap(), kind, attrs)
+    })
+}
+
+/// Drops employee index `which` when it exists, creates it otherwise.
+fn toggle_index(eng: &Engine, which: usize) {
+    let (employee, kind, attrs) = employee_index(eng, which);
+    if !eng.drop_index(employee, kind, &attrs).unwrap() {
+        eng.create_index_of(employee, kind, &attrs).unwrap();
+    }
+}
+
+/// `fd(person, employee, employee)`: name and age determine depname.
+fn name_age_determine_depname(eng: &Engine) -> Fd {
+    eng.with_db(|db| {
+        let s = db.schema();
+        let gen = GeneralisationTopology::of_schema(s);
+        let (person, employee) = (s.type_id("person").unwrap(), s.type_id("employee").unwrap());
+        Fd::new(&gen, person, employee, employee).unwrap()
+    })
 }
 
 proptest! {
     /// The recovery oracle: for a random workload of transactions — each
-    /// committed, rolled back, or committed-then-checkpointed — recovery
-    /// from disk equals a shadow in-memory engine that executed only the
-    /// committed transactions. Runs under both flush policies that allow
-    /// deterministic on-disk state at drop time.
+    /// committed, rolled back, or committed-then-checkpointed — and of
+    /// index and FD DDL, every way of building an engine from the log
+    /// (`recover`, `open`, and a replica fed through `apply_replicated`)
+    /// equals a shadow in-memory engine that executed only the committed
+    /// work: same snapshot bytes, same index definitions, containment
+    /// intact, and the declared FD enforced after recovery. Runs under
+    /// both flush policies that allow deterministic on-disk state at drop
+    /// time.
     #[test]
     fn recovery_equals_shadow_for_random_committed_workloads(
         txns in prop::collection::vec(
-            (prop::collection::vec(op_strategy(), 1..4), 0u8..4),
+            (prop::collection::vec(op_strategy(), 1..4), 0u8..8),
             1..10,
         ),
     ) {
@@ -533,9 +689,11 @@ proptest! {
             let dir = temp_dir("oracle");
             let eng = durable_engine(&dir, flush);
             let shadow = Engine::new(fresh_db());
+            let mut fd_declared = false;
             for (ops, fate) in &txns {
                 // fate: 0 = autocommit ops, 1 = explicit commit,
-                // 2 = rollback, 3 = commit then checkpoint.
+                // 2 = rollback, 3 = commit then checkpoint; 4..=6 toggle
+                // an employee index, 7 declares the FD (its ops unused).
                 match fate {
                     0 => {
                         for op in ops {
@@ -549,6 +707,16 @@ proptest! {
                             apply_op(&eng, op);
                         }
                         eng.rollback().unwrap();
+                    }
+                    4..=6 => {
+                        toggle_index(&eng, usize::from(fate - 4));
+                        toggle_index(&shadow, usize::from(fate - 4));
+                    }
+                    7 => {
+                        let declared = eng.declare_fd(name_age_determine_depname(&eng)).is_ok();
+                        let shadowed = shadow.declare_fd(name_age_determine_depname(&shadow)).is_ok();
+                        prop_assert_eq!(declared, shadowed);
+                        fd_declared |= declared;
                     }
                     _ => {
                         eng.begin().unwrap();
@@ -566,10 +734,39 @@ proptest! {
                 }
             }
             drop(eng);
+
             let recovered = Engine::recover(&dir).unwrap();
-            let a = recovered.with_db(|db| snapshot::to_vec(db).unwrap());
-            let b = shadow.with_db(|db| snapshot::to_vec(db).unwrap());
-            prop_assert_eq!(a, b, "workload {:?} under {:?}", txns, flush);
+            let image = temp_dir("oracle-open");
+            copy_dir(&dir, &image);
+            let reopened = Engine::open(&image, WalConfig { flush, segment_bytes: 2048 }).unwrap();
+            let (replica, records) = replica_of(&dir);
+            for rec in &records {
+                replica.apply_replicated(rec).unwrap();
+            }
+            let want = shadow.with_db(|db| snapshot::to_vec(db).unwrap());
+            for (how, built) in [("recover", &recovered), ("open", &reopened), ("replica", &replica)] {
+                let got = built.with_db(|db| snapshot::to_vec(db).unwrap());
+                prop_assert_eq!(&got, &want, "{}: workload {:?} under {:?}", how, txns, flush);
+                for e in shadow.with_db(|db| db.schema().type_ids().collect::<Vec<_>>()) {
+                    prop_assert_eq!(built.index_defs(e), shadow.index_defs(e), "{}: indexes", how);
+                }
+                let violations = built.with_db(|db| db.verify_containment());
+                prop_assert!(violations.is_empty(), "{}: {:?}", how, violations);
+            }
+            // A fresh employee, then the same name and age in another
+            // department: rejected exactly when the FD was declared.
+            let (employee, _, _) = employee_index(&recovered, 0);
+            let row = |d| [("name", Value::str("zed")), ("age", Value::Int(1)), ("depname", Value::str(d))];
+            recovered.insert(employee, &row("sales")).unwrap();
+            let second = recovered.insert(employee, &row("admin"));
+            prop_assert_eq!(
+                matches!(second, Err(EngineError::FdViolation(_))),
+                fd_declared,
+                "{:?}",
+                second
+            );
+            drop(reopened);
+            fs::remove_dir_all(&image).unwrap();
             fs::remove_dir_all(&dir).unwrap();
         }
     }
