@@ -199,34 +199,63 @@ impl Instance {
     /// Two instances are *joinable* when they agree on every shared
     /// attribute.
     pub fn compatible(&self, other: &Instance) -> bool {
-        let (mut i, mut j) = (0, 0);
+        self.shared_attrs(other).is_some()
+    }
+
+    /// The number of attributes both instances carry, or `None` when
+    /// they disagree on one of them.
+    fn shared_attrs(&self, other: &Instance) -> Option<usize> {
+        let (mut i, mut j, mut shared) = (0, 0, 0);
         while i < self.fields.len() && j < other.fields.len() {
             match self.fields[i].0.cmp(&other.fields[j].0) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
                     if self.fields[i].1 != other.fields[j].1 {
-                        return false;
+                        return None;
                     }
+                    shared += 1;
                     i += 1;
                     j += 1;
                 }
             }
         }
-        true
+        Some(shared)
     }
 
     /// Merges two compatible instances (the tuple-level natural join).
     /// Panics when incompatible — callers must check [`Self::compatible`].
     pub fn merge(&self, other: &Instance) -> Instance {
-        assert!(self.compatible(other), "merging incompatible instances");
-        let mut fields = self.fields.to_vec();
-        for (a, v) in other.fields.iter() {
-            if self.get(*a).is_none() {
-                fields.push((*a, v.clone()));
+        let shared = self
+            .shared_attrs(other)
+            .expect("merging incompatible instances");
+        let (l, r) = (&self.fields[..], &other.fields[..]);
+        let mut fields = Vec::with_capacity(l.len() + r.len() - shared);
+        // Both sides are sorted by attribute id: one two-pointer pass
+        // yields the merged fields already in canonical order.
+        let (mut i, mut j) = (0, 0);
+        while i < l.len() && j < r.len() {
+            match l[i].0.cmp(&r[j].0) {
+                std::cmp::Ordering::Less => {
+                    fields.push(l[i].clone());
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    fields.push(r[j].clone());
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    fields.push(l[i].clone());
+                    i += 1;
+                    j += 1;
+                }
             }
         }
-        Instance::from_parts(fields)
+        fields.extend_from_slice(&l[i..]);
+        fields.extend_from_slice(&r[j..]);
+        Instance {
+            fields: fields.into(),
+        }
     }
 
     /// Renders the instance with attribute names for diagnostics.
@@ -348,6 +377,12 @@ mod tests {
         assert!(e.compatible(&dep));
         let joined = e.merge(&dep);
         assert_eq!(joined.width(), 4); // name, age, depname, location
+        assert_eq!(joined, dep.merge(&e), "merge is symmetric");
+        let mut all = e.fields().to_vec();
+        all.extend(dep.fields().iter().cloned());
+        all.sort();
+        all.dedup();
+        assert_eq!(joined.fields(), &all[..], "canonical attribute order");
 
         let dep2 = Instance::new(
             &s,

@@ -314,6 +314,11 @@ pub struct EngineMetrics {
     pub connections_opened: Counter,
     /// Network connections currently open.
     pub connections_open: Gauge,
+    /// Bytes of every reply the server sent, framing included.
+    pub reply_bytes: Counter,
+    /// Wall time of encoding each reply into the connection's output
+    /// buffer, in nanoseconds.
+    pub reply_encode_ns: Histogram,
     /// WAL-layer metrics, shared with the attached [`Wal`].
     ///
     /// [`Wal`]: https://docs.rs/ (toposem-wal)
@@ -355,6 +360,8 @@ impl Default for EngineMetrics {
             sessions_open: Gauge::default(),
             connections_opened: Counter::default(),
             connections_open: Gauge::default(),
+            reply_bytes: Counter::default(),
+            reply_encode_ns: Histogram::new(LATENCY_NS_BOUNDS),
             wal: Arc::new(WalMetrics::default()),
             repl: Arc::new(ReplicationMetrics::default()),
             feedback: Arc::new(SelectivityFeedback::new()),
@@ -425,7 +432,9 @@ impl EngineMetrics {
                 open: self.sessions_open.get(),
                 connections_opened: self.connections_opened.get(),
                 connections_open: self.connections_open.get(),
+                reply_bytes: self.reply_bytes.get(),
             },
+            reply_encode_ns: self.reply_encode_ns.snapshot(),
             feedback: self.feedback.stats(),
         }
     }
@@ -462,6 +471,8 @@ pub struct SessionStats {
     pub connections_opened: u64,
     /// Network connections currently open.
     pub connections_open: u64,
+    /// Bytes of every reply the server sent.
+    pub reply_bytes: u64,
 }
 
 /// Plan-cache counters (the typed form of the `PlanCache: …` line in
@@ -580,6 +591,8 @@ pub struct MetricsSnapshot {
     pub statistics: StatisticsStats,
     /// Session and connection counters.
     pub sessions: SessionStats,
+    /// Reply encode duration histogram (ns).
+    pub reply_encode_ns: HistogramSnapshot,
     /// Selectivity-feedback counters.
     pub feedback: FeedbackStats,
 }
@@ -700,6 +713,11 @@ impl MetricsSnapshot {
             self.sessions.connections_opened,
         );
         counter(
+            "toposem_server_reply_bytes_total",
+            "Bytes of replies the server sent, framing included",
+            self.sessions.reply_bytes,
+        );
+        counter(
             "toposem_repl_segments_shipped_total",
             "WAL segment publications through the replication transport",
             self.repl.segments_shipped,
@@ -796,6 +814,11 @@ impl MetricsSnapshot {
             "Duration of statistics assemblies that recollected a type, in nanoseconds",
             &mut out,
         );
+        self.reply_encode_ns.render_prometheus(
+            "toposem_server_reply_encode_duration_ns",
+            "Time to encode each reply into the connection's output buffer, in nanoseconds",
+            &mut out,
+        );
         self.wal.fsync_ns.render_prometheus(
             "toposem_wal_fsync_latency_ns",
             "WAL fsync latency in nanoseconds",
@@ -850,6 +873,8 @@ mod tests {
         m.stats_collect_ns.record(2_000_000);
         m.stats_types_reused.add(4);
         m.stats_types_collected.inc();
+        m.reply_bytes.add(9_317);
+        m.reply_encode_ns.record(2_500);
         let text = m.snapshot().to_prometheus();
         assert!(text.contains("toposem_plan_cache_hits_total 3"));
         assert!(text.contains("# TYPE toposem_planner_qerror histogram"));
@@ -873,5 +898,10 @@ mod tests {
         assert!(text.contains("toposem_statistics_collect_duration_ns_count 1"));
         assert!(text.contains("toposem_statistics_types_reused_total 4"));
         assert!(text.contains("toposem_statistics_types_collected_total 1"));
+        assert!(text.contains("# TYPE toposem_server_reply_bytes_total counter"));
+        assert!(text.contains("toposem_server_reply_bytes_total 9317"));
+        assert!(text.contains("# TYPE toposem_server_reply_encode_duration_ns histogram"));
+        assert!(text.contains("toposem_server_reply_encode_duration_ns_bucket{le=\"3000\"} 1"));
+        assert!(text.contains("toposem_server_reply_encode_duration_ns_count 1"));
     }
 }

@@ -298,26 +298,28 @@ fn execute_ordered_prof(
     prof: Prof,
 ) -> Vec<Instance> {
     let mut out: Vec<Instance> = Vec::new();
-    let mut seen: HashSet<Instance> = HashSet::new();
-    #[cfg(feature = "parallel")]
-    if opts.effective_threads() > 1 {
-        let ctx = Ctx::new(db, indexes, opts);
-        for m in eval_parallel(plan, &ctx, prof) {
-            for t in m {
+    // Results are sets; only a plan that can repeat a tuple pays for the
+    // membership set that keeps the first occurrence.
+    let mut seen: Option<HashSet<Instance>> = (!plan.duplicate_free()).then(HashSet::new);
+    let mut append = |batch: &mut Vec<Instance>| match &mut seen {
+        None => out.append(batch),
+        Some(seen) => {
+            for t in batch.drain(..) {
                 if seen.insert(t.clone()) {
                     out.push(t);
                 }
             }
         }
+    };
+    #[cfg(feature = "parallel")]
+    if opts.effective_threads() > 1 {
+        let ctx = Ctx::new(db, indexes, opts);
+        for mut m in eval_parallel(plan, &ctx, prof) {
+            append(&mut m);
+        }
         return out;
     }
-    for_each_batch(plan, db, indexes, opts, prof, &mut |batch| {
-        for t in batch.drain(..) {
-            if seen.insert(t.clone()) {
-                out.push(t);
-            }
-        }
-    });
+    for_each_batch(plan, db, indexes, opts, prof, &mut append);
     out
 }
 

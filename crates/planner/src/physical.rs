@@ -371,6 +371,37 @@ impl Physical {
         out
     }
 
+    /// Whether this operator can never emit the same tuple twice, so an
+    /// ordered execution may append its output without a dedup pass.
+    ///
+    /// Access paths read a relation (a set) or an index over one, where
+    /// each stored tuple appears once. `Filter` and `Sort` keep their
+    /// input's property, `Intersect` its probe's (it emits a subset of
+    /// the probe). A natural join of two duplicate-free inputs is
+    /// duplicate-free: a joined tuple projects back onto exactly one
+    /// input pair. `Project`, `Union`, and `IndexOnlyScan` (which
+    /// projects index keys) can repeat tuples.
+    pub(crate) fn duplicate_free(&self) -> bool {
+        match self {
+            Physical::Empty { .. }
+            | Physical::SeqScan { .. }
+            | Physical::IndexSeek { .. }
+            | Physical::IndexRangeSeek { .. }
+            | Physical::CompositeSeek { .. } => true,
+            Physical::Filter { input, .. } | Physical::Sort { input, .. } => input.duplicate_free(),
+            Physical::Intersect { probe, .. } => probe.duplicate_free(),
+            Physical::HashJoin {
+                build: a, probe: b, ..
+            }
+            | Physical::MergeJoin {
+                left: a, right: b, ..
+            } => a.duplicate_free() && b.duplicate_free(),
+            Physical::Project { .. } | Physical::Union { .. } | Physical::IndexOnlyScan { .. } => {
+                false
+            }
+        }
+    }
+
     /// Renders the plan as an indented EXPLAIN tree with estimates.
     pub fn explain(&self, db: &Database, stats: &Statistics) -> String {
         let mut out = String::new();
@@ -1250,4 +1281,113 @@ fn greedy_join(
         pool.push((ty, joined));
     }
     pool.pop().map(|(_, cands)| cands)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scan(ty: u32) -> Box<Physical> {
+        Box::new(Physical::SeqScan {
+            ty: TypeId(ty),
+            preds: Vec::new(),
+        })
+    }
+
+    fn project(input: Box<Physical>) -> Box<Physical> {
+        Box::new(Physical::Project {
+            input,
+            to: TypeId(9),
+        })
+    }
+
+    /// Pins the property for every operator: access paths over sets are
+    /// duplicate-free, `Project`/`Union`/`IndexOnlyScan` are not, and
+    /// every composite operator derives it from exactly the inputs the
+    /// doc comment names.
+    #[test]
+    fn duplicate_free_per_operator() {
+        let ty = TypeId(0);
+        let a = AttrId(0);
+        let leaves = [
+            Physical::Empty { ty },
+            *scan(0),
+            Physical::IndexSeek {
+                ty,
+                attr: a,
+                value: Value::Int(1),
+                residual: Vec::new(),
+            },
+            Physical::IndexRangeSeek {
+                ty,
+                attr: a,
+                lo: None,
+                hi: None,
+                residual: Vec::new(),
+            },
+            Physical::CompositeSeek {
+                ty,
+                attrs: vec![a],
+                prefix: Vec::new(),
+                suffix: None,
+                residual: Vec::new(),
+            },
+        ];
+        for leaf in &leaves {
+            assert!(leaf.duplicate_free(), "{leaf:?}");
+        }
+        assert!(!Physical::IndexOnlyScan {
+            ty,
+            to: TypeId(1),
+            key_attrs: vec![a],
+            ordered: true,
+            preds: Vec::new(),
+        }
+        .duplicate_free());
+        assert!(!project(scan(0)).duplicate_free());
+        assert!(!Physical::Union {
+            left: scan(0),
+            right: scan(0),
+            ty,
+        }
+        .duplicate_free());
+
+        // Unary operators take their input's value.
+        for (input, want) in [(scan(0), true), (project(scan(0)), false)] {
+            let filter = Physical::Filter {
+                input: input.clone(),
+                preds: Vec::new(),
+            };
+            let sort = Physical::Sort {
+                input,
+                keys: Vec::new(),
+            };
+            assert_eq!(filter.duplicate_free(), want);
+            assert_eq!(sort.duplicate_free(), want);
+        }
+
+        // Intersect follows its probe; joins need both inputs.
+        let intersect =
+            |build: Box<Physical>, probe: Box<Physical>| Physical::Intersect { build, probe, ty };
+        assert!(intersect(project(scan(0)), scan(0)).duplicate_free());
+        assert!(!intersect(scan(0), project(scan(0))).duplicate_free());
+        let hash = |build: Box<Physical>, probe: Box<Physical>| Physical::HashJoin {
+            build,
+            probe,
+            keys: vec![a],
+            ty,
+        };
+        let merge = |left: Box<Physical>, right: Box<Physical>| Physical::MergeJoin {
+            left,
+            right,
+            keys: vec![a],
+            ty,
+        };
+        assert!(hash(scan(0), scan(1)).duplicate_free());
+        assert!(!hash(project(scan(0)), scan(1)).duplicate_free());
+        assert!(!hash(scan(0), project(scan(1))).duplicate_free());
+        assert!(merge(scan(0), scan(1)).duplicate_free());
+        assert!(!merge(project(scan(0)), scan(1)).duplicate_free());
+        assert!(!merge(scan(0), project(scan(1))).duplicate_free());
+    }
 }

@@ -8,7 +8,10 @@
 
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
-use toposem_planner::{execute, lower_and_rewrite, plan_with, PlannedExecution, PlannerOptions};
+use toposem_planner::{
+    execute, execute_ordered_with, lower_and_rewrite, plan_with, ExecOptions, PlannedExecution,
+    PlannerOptions,
+};
 use toposem_storage::{cmp_by_keys, Engine, IndexKind, Query, SortDir};
 
 fn engine() -> Engine {
@@ -479,4 +482,161 @@ fn drop_index_removes_access_path_and_replays() {
     );
     agree(&eng, &q);
     assert!(eng.index_defs(employee).is_empty());
+}
+
+// ---------------------------------------------------------------------
+// Ordered results are sets: duplicates removed exactly where a plan can
+// produce them, and nothing removed where it cannot.
+// ---------------------------------------------------------------------
+
+/// Employees where `ann` and `ann'` share `(name, age)` and so project
+/// onto one `person`, plus the departments every employee references.
+fn shared_person_engine() -> Engine {
+    let eng = engine();
+    let s = eng.with_db(|db| db.schema().clone());
+    let employee = s.type_id("employee").unwrap();
+    let department = s.type_id("department").unwrap();
+    for (name, age, dep) in [
+        ("ann", 30, "sales"),
+        ("ann", 30, "research"),
+        ("bob", 40, "sales"),
+        ("cid", 30, "admin"),
+        ("dee", 50, "research"),
+    ] {
+        eng.insert(
+            employee,
+            &[
+                ("name", Value::str(name)),
+                ("age", Value::Int(age)),
+                ("depname", Value::str(dep)),
+            ],
+        )
+        .unwrap();
+    }
+    for (d, l) in [
+        ("sales", "amsterdam"),
+        ("research", "utrecht"),
+        ("admin", "utrecht"),
+    ] {
+        eng.insert(
+            department,
+            &[("depname", Value::str(d)), ("location", Value::str(l))],
+        )
+        .unwrap();
+    }
+    eng
+}
+
+/// The planned ordered rows, serial and (with the `parallel` feature)
+/// on 4 workers with 1-tuple morsels; both must be the same sequence.
+fn planned_ordered(eng: &Engine, q: &Query) -> Vec<toposem_extension::Instance> {
+    let serial = eng
+        .query_planned_ordered_with(q, &ExecOptions::serial())
+        .unwrap()
+        .1;
+    let parallel = eng
+        .query_planned_ordered_with(
+            q,
+            &ExecOptions {
+                threads: 4,
+                morsel_size: 1,
+                ..ExecOptions::serial()
+            },
+        )
+        .unwrap()
+        .1;
+    assert_eq!(serial, parallel, "parallel diverged for {q:?}");
+    serial
+}
+
+/// Asserts the planned ordered result holds exactly `expect` rows, each
+/// once, and agrees with the naive interpreter as a set.
+fn assert_distinct_rows(eng: &Engine, q: &Query, expect: usize) {
+    let rows = planned_ordered(eng, q);
+    let distinct: std::collections::HashSet<_> = rows.iter().cloned().collect();
+    assert_eq!(
+        distinct.len(),
+        rows.len(),
+        "repeated rows for {q:?}: {rows:?}"
+    );
+    assert_eq!(rows.len(), expect, "{q:?}: {rows:?}");
+    agree_ordered(eng, q);
+}
+
+#[test]
+fn ordered_projection_returns_a_shared_person_once() {
+    let eng = shared_person_engine();
+    let s = eng.with_db(|db| db.schema().clone());
+    let employee = s.type_id("employee").unwrap();
+    let person = s.type_id("person").unwrap();
+    let [name, age, depname] = ["name", "age", "depname"].map(|a| s.attr_id(a).unwrap());
+    let q = Query::scan(employee)
+        .project(person)
+        .order_by(vec![(name, SortDir::Asc)]);
+    let plan = eng.explain(&q).unwrap();
+    assert!(plan.contains("Project"), "{plan}");
+    // ann, bob, cid, dee: the two `ann` employees project onto one.
+    assert_distinct_rows(&eng, &q, 4);
+
+    // A covering index whose keys extend past `person` turns the same
+    // query into an index-only scan that projects each key.
+    eng.create_composite_index(employee, &[name, age, depname])
+        .unwrap();
+    let plan = eng.explain(&q).unwrap();
+    assert!(plan.contains("IndexOnlyScan"), "{plan}");
+    assert_distinct_rows(&eng, &q, 4);
+}
+
+#[test]
+fn ordered_union_of_overlapping_selects_returns_each_row_once() {
+    let eng = shared_person_engine();
+    let s = eng.with_db(|db| db.schema().clone());
+    let employee = s.type_id("employee").unwrap();
+    let [name, age, depname] = ["name", "age", "depname"].map(|a| s.attr_id(a).unwrap());
+    // Sales: ann/sales, bob. Age 30: ann/sales, ann/research, cid.
+    let q = Query::scan(employee)
+        .select(depname, Value::str("sales"))
+        .union(Query::scan(employee).select(age, Value::Int(30)))
+        .order_by(vec![(name, SortDir::Asc)]);
+    assert!(eng.explain(&q).unwrap().contains("Union"));
+    assert_distinct_rows(&eng, &q, 4);
+}
+
+#[test]
+fn ordered_join_of_two_scans_keeps_every_row() {
+    let eng = shared_person_engine();
+    let s = eng.with_db(|db| db.schema().clone());
+    let employee = s.type_id("employee").unwrap();
+    let department = s.type_id("department").unwrap();
+    let person = s.type_id("person").unwrap();
+    let name = s.attr_id("name").unwrap();
+    // Every employee meets its one department: 5 rows, none merged away.
+    let q = Query::scan(employee)
+        .join(Query::scan(department))
+        .order_by(vec![(name, SortDir::Asc)]);
+    assert!(eng.explain(&q).unwrap().contains("Join"));
+    assert_distinct_rows(&eng, &q, 5);
+
+    // A join whose input repeats tuples repeats them too, and still
+    // returns each once — as planned, and forced onto a hash join.
+    let q = Query::scan(employee)
+        .project(person)
+        .join(Query::scan(person))
+        .order_by(vec![(name, SortDir::Asc)]);
+    let plan = eng.explain(&q).unwrap();
+    assert!(plan.contains("Join") && plan.contains("Project"), "{plan}");
+    assert_distinct_rows(&eng, &q, 4);
+    let stats = eng.statistics();
+    let rows = eng.with_parts(|db, indexes| {
+        let logical = lower_and_rewrite(&q, db).unwrap();
+        let no_merge = PlannerOptions {
+            merge_joins: false,
+            ..Default::default()
+        };
+        let phys = plan_with(&logical, db, indexes, &stats, &no_merge);
+        assert!(format!("{phys:?}").contains("HashJoin"), "{phys:?}");
+        execute_ordered_with(&phys, db, indexes, &ExecOptions::serial())
+    });
+    let distinct: std::collections::HashSet<_> = rows.iter().collect();
+    assert_eq!((rows.len(), distinct.len()), (4, 4), "{rows:?}");
 }

@@ -49,24 +49,16 @@ impl Client {
     /// Sends `cmd`, returns `(header, body)` — header without the body
     /// count, e.g. `"OK employee"` or `"ERR unknown command"`.
     fn send(&mut self, cmd: &str) -> (String, Vec<String>) {
-        writeln!(self.writer, "{cmd}").unwrap();
-        self.writer.flush().unwrap();
-        let mut head = String::new();
-        self.reader.read_line(&mut head).unwrap();
-        let head = head.trim_end().to_owned();
-        if let Some(rest) = head.strip_prefix("OK ") {
-            let (n, info) = rest.split_once(' ').unwrap_or((rest, ""));
-            let n: usize = n.parse().unwrap_or_else(|_| panic!("bad frame: {head}"));
-            let mut body = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut line = String::new();
-                self.reader.read_line(&mut line).unwrap();
-                body.push(line.trim_end().to_owned());
+        let mut lines = self.frame(cmd).into_iter().map(|l| l.trim_end().to_owned());
+        let head = lines.next().unwrap();
+        let head = match head.strip_prefix("OK ") {
+            Some(rest) => {
+                let info = rest.split_once(' ').map_or("", |(_, info)| info);
+                format!("OK {info}").trim_end().to_owned()
             }
-            (format!("OK {info}").trim_end().to_owned(), body)
-        } else {
-            (head, Vec::new())
-        }
+            None => head,
+        };
+        (head, lines.collect())
     }
 
     /// Sends `cmd`, asserts success, returns the body lines.
@@ -82,6 +74,64 @@ impl Client {
         assert!(head.starts_with("ERR"), "`{cmd}` unexpectedly ok: {head}");
         head
     }
+
+    /// Sends `cmd` and returns the whole frame exactly as sent — header
+    /// then `n` body lines — each line without its newline and nothing
+    /// trimmed.
+    fn frame(&mut self, cmd: &str) -> Vec<String> {
+        writeln!(self.writer, "{cmd}").unwrap();
+        let mut read = || {
+            let mut line = String::new();
+            self.reader.read_line(&mut line).unwrap();
+            line.strip_suffix('\n')
+                .unwrap_or_else(|| panic!("unterminated line {line:?}"))
+                .to_owned()
+        };
+        let head = read();
+        let n: usize = match head.strip_prefix("OK ") {
+            Some(rest) => {
+                let n = rest.split(' ').next().unwrap();
+                n.parse().unwrap_or_else(|_| panic!("bad frame: {head}"))
+            }
+            None => 0,
+        };
+        let mut lines = vec![head];
+        for _ in 0..n {
+            lines.push(read());
+        }
+        lines
+    }
+}
+
+/// The reference rendering of a query reply, which the server's encoder
+/// must reproduce byte for byte: each field as
+/// `format!("{name}={value}")`, joined by spaces, then the line escape.
+/// Rows arrive in the order a session returns them.
+fn reference_frame(eng: &Arc<Engine>, query: &toposem_storage::Query) -> Vec<String> {
+    let escape = |s: &str| {
+        s.replace('\\', "\\\\")
+            .replace('\n', "\\n")
+            .replace('\t', "\\t")
+            .replace('\r', "\\r")
+    };
+    let (ty, rows) = Session::new(Arc::clone(eng)).query(query).unwrap();
+    eng.with_db(|db| {
+        let schema = db.schema();
+        let mut lines = vec![format!(
+            "OK {} {}",
+            rows.len(),
+            escape(schema.type_name(ty))
+        )];
+        for t in &rows {
+            let fields: Vec<String> = t
+                .fields()
+                .iter()
+                .map(|(a, v)| format!("{}={v}", schema.attr_name(*a)))
+                .collect();
+            lines.push(escape(&fields.join(" ")));
+        }
+        lines
+    })
 }
 
 #[test]
@@ -297,7 +347,16 @@ fn disconnect_mid_transaction_releases_the_write_token() {
     b.ok("COMMIT");
     drop(b);
     drop(handle);
-    assert_eq!(eng.metrics().connections_open.get(), 0);
+    // Each connection thread decrements the gauge after it sees its
+    // client hang up, which can trail the client's own drop.
+    let t0 = std::time::Instant::now();
+    while eng.metrics().connections_open.get() != 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "connections never closed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[test]
@@ -569,4 +628,117 @@ fn show_trace_surfaces_worst_plans() {
         body[0]
     );
     assert!(body.len() <= 3);
+}
+
+// ---------------------------------------------------------------------
+// Reply encoding and request-line bounds.
+// ---------------------------------------------------------------------
+
+/// Stored strings that exercise every escape `{s:?}` and the line
+/// escape can produce.
+const TRICKY: &[&str] = &[
+    "",
+    "it's",
+    "say \"hi\"",
+    "back\\slash",
+    "line\nbreak",
+    "tab\there",
+    "cr\rhere",
+    "nul\0byte",
+    "del\u{7f}",
+    "naïve 東京",
+    "\u{301}leading combining mark",
+];
+
+fn person_query(eng: &Engine) -> (toposem_core::TypeId, toposem_storage::Query) {
+    eng.with_db(|db| {
+        let s = db.schema();
+        let person = s.type_id("person").unwrap();
+        let age = s.attr_id("age").unwrap();
+        let q = toposem_storage::Query::scan(person)
+            .order_by(vec![(age, toposem_storage::SortDir::Asc)]);
+        (person, q)
+    })
+}
+
+#[test]
+fn tricky_strings_come_back_exactly_as_the_reference_renders_them() {
+    let (eng, handle) = server();
+    let (person, q) = person_query(&eng);
+    for (i, s) in TRICKY.iter().enumerate() {
+        eng.insert(
+            person,
+            &[
+                ("name", toposem_extension::Value::str(s)),
+                ("age", toposem_extension::Value::Int(i as i64)),
+            ],
+        )
+        .unwrap();
+    }
+    let mut c = Client::connect(&handle);
+    let frame = c.frame("QUERY scan person | order by age");
+    assert_eq!(frame[0], format!("OK {} person", TRICKY.len()));
+    assert_eq!(frame, reference_frame(&eng, &q));
+    assert_eq!(c.frame("PING"), ["OK 0 pong"], "framing stayed in sync");
+}
+
+#[test]
+fn the_reused_reply_buffer_carries_no_stale_bytes() {
+    let (eng, handle) = server();
+    let (person, q) = person_query(&eng);
+    for i in 0..200 {
+        eng.insert(
+            person,
+            &[
+                ("name", toposem_extension::Value::str(&format!("p{i:03}"))),
+                ("age", toposem_extension::Value::Int(i % 150)),
+            ],
+        )
+        .unwrap();
+    }
+    let mut c = Client::connect(&handle);
+    let big = c.frame("QUERY scan person | order by age");
+    assert_eq!(big.len(), 201);
+    assert_eq!(big, reference_frame(&eng, &q));
+    let one = c.frame("QUERY scan person | select name = 'p007'");
+    assert_eq!(one, ["OK 1 person", "name=\"p007\" age=7"]);
+    assert_eq!(
+        c.frame("QUERY scan nosuchtype"),
+        ["ERR unknown entity type `nosuchtype`"]
+    );
+    assert_eq!(c.frame("PING"), ["OK 0 pong"]);
+}
+
+#[test]
+fn an_overlong_request_line_is_refused_and_the_connection_closed() {
+    let (eng, handle) = server();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // 2 MiB with no newline; the server stops reading at 1 MiB, so the
+    // tail may fail to send once it hangs up.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line, "ERR request line too long\n");
+    line.clear();
+    // Closed: end of stream, or a reset for the bytes it never read.
+    assert!(
+        matches!(reader.read_line(&mut line), Ok(0) | Err(_)),
+        "{line:?}"
+    );
+    flood.join().unwrap();
+
+    let mut c = Client::connect(&handle);
+    assert_eq!(c.send("PING").0, "OK pong");
+    c.ok("INSERT person name='after', age=1");
+    assert_eq!(c.ok("QUERY scan person").len(), 1);
+    drop(c);
+    drop(handle);
+    assert!(
+        eng.metrics().reply_bytes.get() > 0,
+        "replies are metered in bytes"
+    );
 }
