@@ -12,6 +12,20 @@
 //! - `wal_recovered.snap`: `snapshot::to_vec` of what that build
 //!   recovered from `wal/`.
 //!
+//! The files below were written by the build *before* the JSON codec
+//! stopped going through an intermediate tree, to pin every escape,
+//! integer extreme, and log entry kind the codec handles:
+//!
+//! - `strings.snap`: `snapshot::to_vec` of [`strings_database`], whose
+//!   strings hold every character class the writer escapes or passes
+//!   through ([`TRICKY`]) and whose integers reach `i64::MIN`/`MAX`;
+//! - `every_entry/`: a log directory written by [`write_every_entry_log`],
+//!   holding every [`WalEntry`] variant with those strings in its ops;
+//! - `every_entry_recovered.snap`: what that build recovered from it;
+//! - `records.wal`: the frames [`encode_record`] makes of
+//!   [`extreme_records`] — every variant again, LSNs and transaction ids
+//!   above `i64::MAX`, booleans, and the strings in every name position.
+//!
 //! This build must reproduce the snapshot bytes exactly, load the old
 //! snapshots, and recover the old log to the same state.
 
@@ -20,10 +34,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use toposem_core::{employee_schema, GeneralisationTopology, Intension, TypeId};
-use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Instance, Value};
+use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Instance, LogicalOp, Value};
 use toposem_fd::Fd;
 use toposem_storage::{snapshot, Engine, EngineError, IndexKind};
-use toposem_wal::{FlushPolicy, Wal, WalConfig};
+use toposem_wal::record::encode_record;
+use toposem_wal::{
+    decode_record, Decoded, FlushPolicy, IndexDef, IndexKindDef, Wal, WalConfig, WalEntry,
+    WalRecord,
+};
 
 fn golden(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -347,4 +365,300 @@ fn a_log_written_by_the_parent_build_still_recovers() {
     let again = Engine::recover(&image).unwrap();
     assert_eq!(again.lookup(e, name, &Value::str("after")).len(), 1);
     fs::remove_dir_all(&image).unwrap();
+}
+
+/// One string per character class the JSON writer treats specially —
+/// each escape it emits, the control characters it spells as `\u00XX`,
+/// and the ones it must pass through untouched — plus the empty string.
+const TRICKY: [&str; 11] = [
+    "q\"uote",
+    "back\\slash",
+    "new\nline",
+    "tab\there",
+    "cr\rreturn",
+    "nul\0byte",
+    "ctl\u{1}\u{8}\u{b}\u{c}\u{1f}",
+    "del\u{7f}",
+    "caf\u{e9} \u{2603}",
+    "crab \u{1f980}",
+    "",
+];
+
+/// A person per [`TRICKY`] string and two managers whose budgets are
+/// `i64::MIN` and `i64::MAX`.
+fn strings_database() -> Database {
+    let mut db = Database::new(
+        Intension::analyse(employee_schema()),
+        DomainCatalog::employee_defaults(),
+        ContainmentPolicy::Eager,
+    );
+    let person = ty(&db, "person");
+    for (i, s) in TRICKY.iter().enumerate() {
+        db.insert_fields(
+            person,
+            &[("name", Value::str(s)), ("age", Value::Int(i as i64))],
+        )
+        .unwrap();
+    }
+    let m = ty(&db, "manager");
+    db.insert_fields(m, &manager("min\u{1f980}", 1, "sales", i64::MIN))
+        .unwrap();
+    db.insert_fields(m, &manager("max\t", 2, "admin", i64::MAX))
+        .unwrap();
+    db
+}
+
+/// Writes a log holding every [`WalEntry`] variant into `dir` (how
+/// `golden/every_entry/` was made): the initial `Checkpoint`, index and
+/// FD DDL, a committed transaction of [`TRICKY`]-named inserts and a
+/// cascading delete, an `Abort`, a `DropIndex`, autocommitted extreme
+/// budgets, and a crash inside an open transaction.
+fn write_every_entry_log(dir: &Path) {
+    let cfg = WalConfig {
+        flush: FlushPolicy::PerCommit,
+        segment_bytes: 1 << 20,
+    };
+    let empty = Database::new(
+        Intension::analyse(employee_schema()),
+        DomainCatalog::employee_defaults(),
+        ContainmentPolicy::Eager,
+    );
+    let eng = Engine::durable(empty, Wal::create(dir, cfg).unwrap()).unwrap();
+    let (e, m, p, w, d) = eng.with_db(|db| {
+        (
+            ty(db, "employee"),
+            ty(db, "manager"),
+            ty(db, "person"),
+            ty(db, "worksfor"),
+            ty(db, "department"),
+        )
+    });
+    let name = eng.with_db(|db| db.schema().attr_id("name").unwrap());
+    eng.create_index(e, name).unwrap();
+    let fd = eng
+        .with_db(|db| Fd::new(&GeneralisationTopology::of_schema(db.schema()), e, d, w).unwrap());
+    eng.declare_fd(fd).unwrap();
+    eng.begin().unwrap();
+    for (i, s) in TRICKY.iter().enumerate() {
+        eng.insert(e, &employee(s, i as i64, "research")).unwrap();
+    }
+    let victim = eng.with_db(|db| {
+        Instance::new(
+            db.schema(),
+            db.catalog(),
+            p,
+            &[("name", Value::str(TRICKY[2])), ("age", Value::Int(2))],
+        )
+        .unwrap()
+    });
+    assert_eq!(eng.delete(p, &victim).unwrap(), 2);
+    eng.commit().unwrap();
+    eng.begin().unwrap();
+    eng.insert(e, &employee("rolled\u{0}back", 3, "admin"))
+        .unwrap();
+    eng.rollback().unwrap();
+    assert!(eng.drop_index(e, IndexKind::Hash, &[name]).unwrap());
+    eng.insert(m, &manager("min", 4, "sales", i64::MIN))
+        .unwrap();
+    eng.insert(m, &manager("max", 5, "admin", i64::MAX))
+        .unwrap();
+    eng.begin().unwrap();
+    eng.insert(e, &employee("crash\u{7f}", 6, "sales")).unwrap();
+    eng.sync().unwrap();
+    drop(eng);
+}
+
+fn tricky_op(entity: &str) -> LogicalOp {
+    let mut fields: Vec<(String, Value)> = vec![
+        ("min".into(), Value::Int(i64::MIN)),
+        ("max".into(), Value::Int(i64::MAX)),
+        ("zero".into(), Value::Int(0)),
+        ("yes".into(), Value::Bool(true)),
+        ("no".into(), Value::Bool(false)),
+    ];
+    for s in TRICKY {
+        fields.push((s.to_owned(), Value::str(s)));
+    }
+    LogicalOp {
+        entity: entity.to_owned(),
+        fields,
+    }
+}
+
+/// Every [`WalEntry`] variant, stamped with LSNs that climb past
+/// `i64::MAX` to `u64::MAX`, carrying transaction ids at the same
+/// extremes and [`TRICKY`] strings in every name position.
+fn extreme_records() -> Vec<WalRecord> {
+    let big = u64::MAX;
+    let def = |kind, entity: &str| IndexDef {
+        entity: entity.to_owned(),
+        kind,
+        attrs: TRICKY.iter().map(|s| s.to_string()).collect(),
+    };
+    let entries = vec![
+        WalEntry::Begin { txn: big },
+        WalEntry::Insert {
+            txn: big,
+            op: tricky_op(TRICKY[0]),
+        },
+        WalEntry::Delete {
+            txn: i64::MAX as u64 + 1,
+            op: tricky_op(TRICKY[9]),
+        },
+        WalEntry::Commit { txn: big },
+        WalEntry::Abort { txn: 0 },
+        WalEntry::Checkpoint { next_txn: big },
+        WalEntry::CreateIndex {
+            def: def(IndexKindDef::Composite, TRICKY[6]),
+        },
+        WalEntry::DropIndex {
+            def: def(IndexKindDef::Ordered, TRICKY[5]),
+        },
+        WalEntry::CreateIndex {
+            def: def(IndexKindDef::Hash, ""),
+        },
+        WalEntry::DeclareFd {
+            lhs: TRICKY[1].to_owned(),
+            rhs: TRICKY[8].to_owned(),
+            context: TRICKY[10].to_owned(),
+        },
+    ];
+    let first = i64::MAX as u64 - 4;
+    let n = entries.len() as u64;
+    entries
+        .into_iter()
+        .enumerate()
+        .map(|(i, entry)| WalRecord {
+            lsn: if i as u64 + 1 == n {
+                big
+            } else {
+                first + i as u64
+            },
+            entry,
+        })
+        .collect()
+}
+
+#[test]
+fn escapes_and_integer_extremes_keep_their_snapshot_bytes() {
+    let db = strings_database();
+    let want = fs::read(golden("strings.snap")).unwrap();
+    let got = snapshot::to_vec(&db).unwrap();
+    assert!(
+        got == want,
+        "strings.snap: snapshot bytes changed\n got: {}\nwant: {}",
+        String::from_utf8_lossy(&got),
+        String::from_utf8_lossy(&want)
+    );
+    let back = snapshot::load(&want[..]).unwrap();
+    for e in db.schema().type_ids() {
+        assert_eq!(back.stored(e), db.stored(e));
+    }
+    assert_eq!(snapshot::to_vec(&back).unwrap(), want);
+}
+
+#[test]
+fn every_entry_kind_keeps_its_log_bytes_and_recovers_the_same() {
+    let dir = temp_dir("every-entry");
+    write_every_entry_log(&dir);
+    let mut files: Vec<PathBuf> = fs::read_dir(golden("every_entry"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    let mut ours: Vec<_> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    ours.sort();
+    let names: Vec<_> = files
+        .iter()
+        .map(|p| p.file_name().unwrap().to_owned())
+        .collect();
+    assert_eq!(ours, names, "same checkpoint and segment files");
+    for want in &files {
+        let got = fs::read(dir.join(want.file_name().unwrap())).unwrap();
+        assert!(
+            got == fs::read(want).unwrap(),
+            "{} differs from the golden bytes",
+            want.display()
+        );
+    }
+    fs::remove_dir_all(&dir).unwrap();
+
+    // Every variant is really in there.
+    let image = temp_dir("every-entry-image");
+    copy_dir(&golden("every_entry"), &image);
+    let scan = toposem_wal::scan(&image).unwrap();
+    let mut kinds: Vec<&str> = scan
+        .records
+        .iter()
+        .map(|r| match r.entry {
+            WalEntry::Begin { .. } => "Begin",
+            WalEntry::Insert { .. } => "Insert",
+            WalEntry::Delete { .. } => "Delete",
+            WalEntry::Commit { .. } => "Commit",
+            WalEntry::Abort { .. } => "Abort",
+            WalEntry::Checkpoint { .. } => "Checkpoint",
+            WalEntry::CreateIndex { .. } => "CreateIndex",
+            WalEntry::DropIndex { .. } => "DropIndex",
+            WalEntry::DeclareFd { .. } => "DeclareFd",
+        })
+        .collect();
+    kinds.sort();
+    kinds.dedup();
+    assert_eq!(kinds.len(), 9, "every WalEntry variant: {kinds:?}");
+
+    let recovered = Engine::recover(&image).unwrap();
+    let want = fs::read(golden("every_entry_recovered.snap")).unwrap();
+    let got = recovered.with_db(|db| snapshot::to_vec(db).unwrap());
+    assert!(
+        got == want,
+        "recovered state changed\n got: {}\nwant: {}",
+        String::from_utf8_lossy(&got),
+        String::from_utf8_lossy(&want)
+    );
+    let (e, name) =
+        recovered.with_db(|db| (ty(db, "employee"), db.schema().attr_id("name").unwrap()));
+    assert!(recovered.index_defs(e).is_empty(), "the index was dropped");
+    for (i, s) in TRICKY.iter().enumerate() {
+        let rows = recovered.with_db(|db| {
+            db.stored(e)
+                .iter()
+                .filter(|t| t.get(name) == Some(&Value::str(s)))
+                .count()
+        });
+        assert_eq!(rows, usize::from(i != 2), "employee {s:?}");
+    }
+    recovered.with_db(|db| assert!(db.verify_containment().is_empty()));
+    fs::remove_dir_all(&image).unwrap();
+}
+
+#[test]
+fn extreme_records_keep_their_frame_bytes() {
+    let recs = extreme_records();
+    let mut got = Vec::new();
+    for rec in &recs {
+        got.extend_from_slice(&encode_record(rec).unwrap());
+    }
+    let want = fs::read(golden("records.wal")).unwrap();
+    assert!(
+        got == want,
+        "records.wal: frame bytes changed\n got: {}\nwant: {}",
+        String::from_utf8_lossy(&got),
+        String::from_utf8_lossy(&want)
+    );
+    let mut at = 0;
+    let mut back = Vec::new();
+    loop {
+        match decode_record(&want, at) {
+            Decoded::Record { rec, next } => {
+                back.push(rec);
+                at = next;
+            }
+            Decoded::End => break,
+            Decoded::Torn(why) => panic!("golden frame at {at} torn: {why}"),
+        }
+    }
+    assert_eq!(back, recs);
 }
