@@ -7,7 +7,8 @@
 
 use std::sync::Arc;
 
-use serde::json::{get_field, Json, JsonError};
+use serde::de::{required, Reader};
+use serde::json::JsonError;
 use serde::{Deserialize, Serialize};
 use toposem_core::{AttrId, Schema, TypeId};
 use toposem_topology::BitSet;
@@ -30,20 +31,27 @@ pub struct Instance {
 /// `{"fields":[[attr,value],…]}`, so snapshots and checkpoints keep
 /// their bytes.
 impl Serialize for Instance {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![("fields".to_owned(), self.fields.to_json())])
+    fn serialize(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"fields\":");
+        self.fields.serialize(out);
+        out.push(b'}');
     }
 }
 
 impl Deserialize for Instance {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| JsonError::expected("Instance", "object"))?;
-        let fields = get_field(obj, "fields")
-            .ok_or_else(|| JsonError::missing_field("Instance", "fields"))?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let mut fields: Option<Vec<(AttrId, Value)>> = None;
+        r.object(|key, r| {
+            Ok(match key {
+                "fields" if fields.is_none() => {
+                    fields = Some(Vec::deserialize(r)?);
+                    true
+                }
+                _ => false,
+            })
+        })?;
         Ok(Instance {
-            fields: Vec::<(AttrId, Value)>::from_json(fields)?.into(),
+            fields: required(fields, "Instance", "fields")?.into(),
         })
     }
 }
@@ -94,32 +102,77 @@ impl Instance {
         ty: TypeId,
         fields: &[(&str, Value)],
     ) -> Result<Self, InstanceError> {
+        let layout = Self::layout(schema, catalog, ty, fields.iter().map(|(n, v)| (*n, v)))?;
+        Ok(Instance {
+            fields: layout
+                .into_iter()
+                .map(|(a, i)| (a, fields[i].1.clone()))
+                .collect(),
+        })
+    }
+
+    /// [`Instance::new`] over owned pairs, moving each value into the
+    /// instance instead of copying it. Validation runs first: on error
+    /// `fields` is untouched; on success every value the instance took is
+    /// left behind as a placeholder, so the caller drops `fields`.
+    pub(crate) fn take_named(
+        schema: &Schema,
+        catalog: &DomainCatalog,
+        ty: TypeId,
+        fields: &mut [(String, Value)],
+    ) -> Result<Self, InstanceError> {
+        let layout = Self::layout(
+            schema,
+            catalog,
+            ty,
+            fields.iter().map(|(n, v)| (n.as_str(), v)),
+        )?;
+        Ok(Instance {
+            fields: layout
+                .into_iter()
+                .map(|(a, i)| (a, std::mem::replace(&mut fields[i].1, Value::Int(0))))
+                .collect(),
+        })
+    }
+
+    /// Checks named fields against `ty` — every name an attribute of
+    /// `ty`, every value in its attribute's domain, every attribute of
+    /// `ty` covered — and returns, in attribute order, each attribute
+    /// with the position of the pair supplying it (the first, when a name
+    /// repeats).
+    fn layout<'f>(
+        schema: &Schema,
+        catalog: &DomainCatalog,
+        ty: TypeId,
+        fields: impl ExactSizeIterator<Item = (&'f str, &'f Value)>,
+    ) -> Result<Vec<(AttrId, usize)>, InstanceError> {
         let want = schema.attrs_of(ty);
-        let mut resolved: Vec<(AttrId, Value)> = Vec::with_capacity(fields.len());
-        for (name, value) in fields {
+        let mut layout: Vec<(AttrId, usize)> = Vec::with_capacity(fields.len());
+        for (i, (name, value)) in fields.enumerate() {
             let attr = schema
                 .attr_id(name)
                 .ok_or_else(|| InstanceError::ForeignAttribute {
-                    attr: (*name).to_owned(),
+                    attr: name.to_owned(),
                 })?;
             if !want.contains(attr.index()) {
                 return Err(InstanceError::ForeignAttribute {
-                    attr: (*name).to_owned(),
+                    attr: name.to_owned(),
                 });
             }
             if !catalog.admits(schema, attr, value) {
                 return Err(InstanceError::OutsideDomain {
-                    attr: (*name).to_owned(),
+                    attr: name.to_owned(),
                     value: value.to_string(),
                 });
             }
-            resolved.push((attr, value.clone()));
+            layout.push((attr, i));
         }
-        resolved.sort_by_key(|(a, _)| *a);
-        resolved.dedup_by(|a, b| a.0 == b.0);
-        if resolved.len() != want.card() {
+        // Stable, so a repeated attribute keeps its first pair.
+        layout.sort_by_key(|(a, _)| *a);
+        layout.dedup_by(|a, b| a.0 == b.0);
+        if layout.len() != want.card() {
             // Find the first missing attribute for the diagnostic.
-            let have: Vec<usize> = resolved.iter().map(|(a, _)| a.index()).collect();
+            let have: Vec<usize> = layout.iter().map(|(a, _)| a.index()).collect();
             let missing = want
                 .iter()
                 .find(|i| !have.contains(i))
@@ -127,9 +180,7 @@ impl Instance {
                 .unwrap_or_else(|| "<duplicate>".to_owned());
             return Err(InstanceError::MissingAttribute { attr: missing });
         }
-        Ok(Instance {
-            fields: resolved.into(),
-        })
+        Ok(layout)
     }
 
     /// Builds an instance from already-validated `(AttrId, Value)` pairs.

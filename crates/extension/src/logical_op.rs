@@ -64,20 +64,20 @@ impl LogicalOp {
     }
 
     /// Resolves the named entity and fields against `db`'s live schema,
-    /// re-running instance validation.
-    pub fn resolve(&self, db: &Database) -> Result<(TypeId, Instance), ReplayError> {
-        let e = db
-            .schema()
-            .type_id(&self.entity)
-            .ok_or_else(|| ReplayError::UnknownEntity(self.entity.clone()))?;
-        let fields: Vec<(&str, Value)> = self
-            .fields
-            .iter()
-            .map(|(name, v)| (name.as_str(), v.clone()))
-            .collect();
-        let t =
-            Instance::new(db.schema(), db.catalog(), e, &fields).map_err(ReplayError::Invalid)?;
-        Ok((e, t))
+    /// re-running instance validation. The logged values move into the
+    /// instance rather than being copied; on failure the operation comes
+    /// back untouched beside the error.
+    pub fn resolve(
+        mut self,
+        db: &Database,
+    ) -> Result<(TypeId, Instance), (ReplayError, LogicalOp)> {
+        let Some(e) = db.schema().type_id(&self.entity) else {
+            return Err((ReplayError::UnknownEntity(self.entity.clone()), self));
+        };
+        match Instance::take_named(db.schema(), db.catalog(), e, &mut self.fields) {
+            Ok(t) => Ok((e, t)),
+            Err(err) => Err((ReplayError::Invalid(err), self)),
+        }
     }
 }
 
@@ -168,7 +168,7 @@ mod tests {
         };
         assert!(matches!(
             bad_entity.resolve(&d),
-            Err(ReplayError::UnknownEntity(_))
+            Err((ReplayError::UnknownEntity(_), _))
         ));
         let bad_fields = LogicalOp {
             entity: "person".into(),
@@ -176,8 +176,45 @@ mod tests {
         };
         assert!(matches!(
             bad_fields.resolve(&d),
-            Err(ReplayError::Invalid(InstanceError::MissingAttribute { .. }))
+            Err((
+                ReplayError::Invalid(InstanceError::MissingAttribute { .. }),
+                _
+            ))
         ));
+    }
+
+    #[test]
+    fn resolving_moves_what_instance_new_copies_and_gives_back_failures() {
+        let d = db();
+        let op = manager_op();
+        let fields: Vec<(&str, Value)> = op
+            .fields
+            .iter()
+            .map(|(n, v)| (n.as_str(), v.clone()))
+            .collect();
+        let manager = d.schema().type_id("manager").unwrap();
+        let by_ref = Instance::new(d.schema(), d.catalog(), manager, &fields).unwrap();
+        assert_eq!(manager_op().resolve(&d).unwrap(), (manager, by_ref));
+        // A repeated attribute keeps its first value, as `Instance::new`
+        // does.
+        let mut repeated = manager_op();
+        repeated.fields.push(("name".into(), Value::str("bob")));
+        let (_, t) = repeated.resolve(&d).unwrap();
+        let name = d.schema().attr_id("name").unwrap();
+        assert_eq!(t.get(name), Some(&Value::str("ann")));
+        // Failing ops come back exactly as they were.
+        let mut outside = manager_op();
+        outside.fields[1].1 = Value::Int(1_000);
+        for bad in [
+            LogicalOp {
+                entity: "starship".into(),
+                fields: manager_op().fields,
+            },
+            outside,
+        ] {
+            let (_, back) = bad.clone().resolve(&d).unwrap_err();
+            assert_eq!(back, bad);
+        }
     }
 
     #[test]

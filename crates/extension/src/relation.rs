@@ -4,7 +4,8 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::json::{get_field, Json, JsonError};
+use serde::de::{required, Reader};
+use serde::json::JsonError;
 use serde::{Deserialize, Serialize};
 use toposem_core::{AttrId, Schema, TypeId};
 use toposem_topology::BitSet;
@@ -53,19 +54,26 @@ impl Eq for Relation {}
 /// Serialised as the derived form of the former plain struct,
 /// `{"tuples":[…]}`; the version stamp is process-local and not stored.
 impl Serialize for Relation {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![("tuples".to_owned(), self.tuples.to_json())])
+    fn serialize(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"tuples\":");
+        self.tuples.serialize(out);
+        out.push(b'}');
     }
 }
 
 impl Deserialize for Relation {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| JsonError::expected("Relation", "object"))?;
-        let tuples = get_field(obj, "tuples")
-            .ok_or_else(|| JsonError::missing_field("Relation", "tuples"))?;
-        Ok(Relation::from_set(BTreeSet::from_json(tuples)?))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let mut tuples: Option<BTreeSet<Instance>> = None;
+        r.object(|key, r| {
+            Ok(match key {
+                "tuples" if tuples.is_none() => {
+                    tuples = Some(BTreeSet::deserialize(r)?);
+                    true
+                }
+                _ => false,
+            })
+        })?;
+        Ok(Relation::from_set(required(tuples, "Relation", "tuples")?))
     }
 }
 

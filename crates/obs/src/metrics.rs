@@ -288,6 +288,9 @@ pub struct EngineMetrics {
     pub recovery_replayed_txns: Counter,
     /// Logical operations the replayed commits applied.
     pub recovery_replayed_ops: Counter,
+    /// Wall time of each of those recoveries, from reading the
+    /// checkpoint to the last record replayed, in nanoseconds.
+    pub recovery_ns: Histogram,
     /// Worst per-operator q-error of each planned query, recorded as
     /// `q × 100` (so the histogram can stay integral); a value of 100
     /// is a perfect estimate.
@@ -349,6 +352,7 @@ impl Default for EngineMetrics {
             recovery_runs: Counter::default(),
             recovery_replayed_txns: Counter::default(),
             recovery_replayed_ops: Counter::default(),
+            recovery_ns: Histogram::new(LATENCY_NS_BOUNDS),
             planner_qerror: Histogram::new(QERROR_X100_BOUNDS),
             snapshot_rebuilds: Counter::default(),
             snapshot_hits: Counter::default(),
@@ -399,6 +403,7 @@ impl EngineMetrics {
                 runs: self.recovery_runs.get(),
                 replayed_txns: self.recovery_replayed_txns.get(),
                 replayed_ops: self.recovery_replayed_ops.get(),
+                duration_ns: self.recovery_ns.snapshot(),
             },
             wal: WalStats {
                 flushes: self.wal.flushes.get(),
@@ -509,8 +514,8 @@ pub struct QueryMetrics {
     pub rows_returned: u64,
 }
 
-/// Recovery counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Recovery counters and durations.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Log replays by `Engine::recover` or `Engine::open`.
     pub runs: u64,
@@ -518,6 +523,8 @@ pub struct RecoveryStats {
     pub replayed_txns: u64,
     /// Logical operations replayed.
     pub replayed_ops: u64,
+    /// Duration of each replay, checkpoint load included (ns).
+    pub duration_ns: HistogramSnapshot,
 }
 
 /// WAL counters and histograms.
@@ -804,6 +811,11 @@ impl MetricsSnapshot {
             "Worst per-operator q-error of each planned query, times 100",
             &mut out,
         );
+        self.recovery.duration_ns.render_prometheus(
+            "toposem_recovery_duration_ns",
+            "Wall time of each recover or open, checkpoint load through log replay, in nanoseconds",
+            &mut out,
+        );
         self.snapshot_rebuild_ns.render_prometheus(
             "toposem_snapshot_rebuild_duration_ns",
             "MVCC snapshot rebuild duration in nanoseconds",
@@ -875,6 +887,7 @@ mod tests {
         m.stats_types_collected.inc();
         m.reply_bytes.add(9_317);
         m.reply_encode_ns.record(2_500);
+        m.recovery_ns.record(45_000_000);
         let text = m.snapshot().to_prometheus();
         assert!(text.contains("toposem_plan_cache_hits_total 3"));
         assert!(text.contains("# TYPE toposem_planner_qerror histogram"));
@@ -903,5 +916,9 @@ mod tests {
         assert!(text.contains("# TYPE toposem_server_reply_encode_duration_ns histogram"));
         assert!(text.contains("toposem_server_reply_encode_duration_ns_bucket{le=\"3000\"} 1"));
         assert!(text.contains("toposem_server_reply_encode_duration_ns_count 1"));
+        assert!(text.contains("# TYPE toposem_recovery_duration_ns histogram"));
+        assert!(text.contains("toposem_recovery_duration_ns_bucket{le=\"30000000\"} 0"));
+        assert!(text.contains("toposem_recovery_duration_ns_bucket{le=\"100000000\"} 1"));
+        assert!(text.contains("toposem_recovery_duration_ns_sum 45000000"));
     }
 }

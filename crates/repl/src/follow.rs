@@ -19,7 +19,11 @@
 //! partially shipped frames, and primary crash-restarts (the torn
 //! suffix is truncated and rewritten, always at or past the follower's
 //! offset) all resolve to the same "resume at the offset" behaviour.
-//! When the manifest's oldest segment starts above the follower's
+//! A whole, checksum-valid frame that does not decode is different: no
+//! later byte repairs it, so the round fails with
+//! [`ReplError::CorruptSegment`], which [`Follower::last_error`] reports
+//! while the follower waits at that offset for the segment to be shipped
+//! again. When the manifest's oldest segment starts above the follower's
 //! applied LSN, the needed records are gone — the primary checkpointed
 //! past this follower — so it re-bootstraps from the newer checkpoint
 //! and swaps the engine behind its handle.
@@ -75,6 +79,8 @@ struct FollowerShared {
     /// [`Follower::wait_for_lsn`] wakes when its LSN arrives instead of
     /// polling for it.
     applied: (std::sync::Mutex<()>, Condvar),
+    /// Why the tailing thread's latest round failed, if it did.
+    last_error: Mutex<Option<String>>,
 }
 
 /// A replication follower: a read-only engine kept current by tailing
@@ -102,6 +108,7 @@ impl Follower {
             engine: RwLock::new(engine),
             offsets: Mutex::new(HashMap::new()),
             applied: Default::default(),
+            last_error: Mutex::new(None),
         });
         // Catch up on everything already shipped before returning, so a
         // fresh follower is immediately as current as the transport.
@@ -118,10 +125,12 @@ impl Follower {
                         if stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        // Transient faults (link down, blob not shipped
-                        // yet) leave the replica where it is; the next
-                        // round resumes from the recorded offsets.
-                        let _ = catch_up(&shared);
+                        // A failed round (link down, apply error,
+                        // corrupt segment) leaves the replica where it
+                        // is and is reported through `last_error`; the
+                        // next round resumes from the recorded offsets.
+                        let outcome = catch_up(&shared);
+                        *shared.last_error.lock() = outcome.err().map(|e| e.to_string());
                     }
                 })
                 .map_err(|e| ReplError::Wal(e.to_string()))?
@@ -161,6 +170,15 @@ impl Follower {
     /// LSN up to which every committed record has been applied.
     pub fn applied_lsn(&self) -> u64 {
         self.engine().applied_lsn()
+    }
+
+    /// Why the tailing thread's most recent round failed — the link, the
+    /// replica's apply, or a corrupt shipped segment — or `None` when it
+    /// succeeded. The thread keeps polling either way; a corrupt segment
+    /// holds the replica at the record before it until the segment is
+    /// shipped again intact.
+    pub fn last_error(&self) -> Option<String> {
+        self.shared.last_error.lock().clone()
     }
 
     /// Block until the replica has applied at least `lsn` (true) or
@@ -315,9 +333,16 @@ fn apply_round(shared: &FollowerShared) -> Result<(), ReplError> {
             continue;
         };
         let mut at = 0usize;
+        let mut corrupt = false;
         loop {
             match decode_record(&buf, at) {
                 Decoded::End => break,
+                // A whole, checksum-valid frame that does not decode
+                // will not heal by waiting.
+                torn @ Decoded::Torn(_) if torn.is_undecodable() => {
+                    corrupt = true;
+                    break;
+                }
                 // A torn frame is simply bytes the shipper has not
                 // delivered yet; resume here next round.
                 Decoded::Torn(_) => break,
@@ -329,6 +354,12 @@ fn apply_round(shared: &FollowerShared) -> Result<(), ReplError> {
         }
         if at > 0 {
             offsets.insert(seg.name.clone(), from + at);
+        }
+        if corrupt {
+            return Err(ReplError::CorruptSegment {
+                segment: seg.name.clone(),
+                offset: (from + at) as u64,
+            });
         }
     }
     // Forget offsets for segments the manifest no longer names.

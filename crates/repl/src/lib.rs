@@ -64,6 +64,14 @@ pub enum ReplError {
     NoCheckpoint,
     /// A shipped checkpoint's bytes were malformed.
     BadCheckpoint(String),
+    /// A shipped segment holds a whole, checksum-valid record that does
+    /// not decode — corruption no amount of waiting repairs.
+    CorruptSegment {
+        /// Segment name.
+        segment: String,
+        /// Byte offset of the record in the segment.
+        offset: u64,
+    },
 }
 
 impl std::fmt::Display for ReplError {
@@ -75,6 +83,10 @@ impl std::fmt::Display for ReplError {
             ReplError::NotDurable => write!(f, "engine has no write-ahead log to ship"),
             ReplError::NoCheckpoint => write!(f, "transport holds no checkpoint yet"),
             ReplError::BadCheckpoint(why) => write!(f, "bad shipped checkpoint: {why}"),
+            ReplError::CorruptSegment { segment, offset } => write!(
+                f,
+                "shipped segment {segment} is corrupt at byte {offset}: a checksum-valid record does not decode"
+            ),
         }
     }
 }

@@ -11,15 +11,15 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use toposem_core::{employee_schema, GeneralisationTopology, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Instance, Value};
 use toposem_fd::Fd;
 use toposem_repl::{
-    DirTransport, Follower, FollowerConfig, InProcessTransport, SegmentTransport, Shipper,
-    ShipperConfig,
+    encode_checkpoint, DirTransport, Follower, FollowerConfig, InProcessTransport, Manifest,
+    SegmentEntry, SegmentTransport, Shipper, ShipperConfig, TransportError,
 };
 use toposem_storage::{snapshot, Engine, EngineError, IndexKind};
 use toposem_wal::{FlushPolicy, Wal, WalConfig};
@@ -349,6 +349,103 @@ fn extend_segment_matches_whole_publish() {
         assert!(t.extend_segment("missing", 0, b"!").is_err());
     }
     fs::remove_dir_all(&spool).unwrap();
+}
+
+/// A spooled manifest nesting a million arrays deep is an encoding
+/// error, not a crash.
+#[test]
+fn hostile_nesting_in_a_spooled_manifest_is_an_encoding_error() {
+    let spool = temp_dir("deep-manifest");
+    let t = DirTransport::new(&spool).unwrap();
+    let deep = "[".repeat(1_000_000);
+    for text in [deep.clone(), format!("{{\"pad\":{deep}")] {
+        fs::write(spool.join("manifest.json"), text).unwrap();
+        assert!(matches!(t.fetch_manifest(), Err(TransportError::Encode(_))));
+    }
+    fs::remove_dir_all(&spool).unwrap();
+}
+
+/// A shipped segment whose next record is checksum-valid but nests a
+/// million arrays deep: the follower's thread survives it, keeps what it
+/// applied before it, reports the corruption, and resumes once the
+/// segment is shipped again intact.
+#[test]
+fn follower_survives_and_reports_a_hostile_segment() {
+    let dir = temp_dir("hostile");
+    let primary = durable_engine(&dir, FlushPolicy::NoSync);
+    insert_employee(&primary, "ann", 40, "sales");
+    primary.sync().unwrap();
+    let transport = Arc::new(InProcessTransport::new());
+    let (meta, payload) = toposem_wal::read_checkpoint(&dir).unwrap();
+    transport
+        .publish_checkpoint(&encode_checkpoint(&meta, &payload).unwrap())
+        .unwrap();
+    let seg = toposem_wal::list_segments(&dir).unwrap();
+    assert_eq!(seg.len(), 1);
+    let name = seg[0].file_name().unwrap().to_string_lossy().into_owned();
+    let ship = |bytes: &[u8]| {
+        transport.publish_segment(&name, bytes).unwrap();
+        transport
+            .publish_manifest(&Manifest {
+                checkpoint_next_lsn: meta.next_lsn,
+                shipped_next_lsn: primary.wal_next_lsn().unwrap(),
+                segments: vec![SegmentEntry {
+                    name: name.clone(),
+                    first_lsn: toposem_wal::segment_first_lsn(&name).unwrap(),
+                    len: bytes.len() as u64,
+                }],
+            })
+            .unwrap();
+    };
+    ship(&fs::read(&seg[0]).unwrap());
+    let follower = Follower::start(
+        transport.clone() as Arc<dyn SegmentTransport>,
+        fast_follow(),
+    )
+    .unwrap();
+    let good_lsn = follower.applied_lsn();
+    assert_eq!(good_lsn, primary.wal_next_lsn().unwrap());
+
+    let deep = "[".repeat(1_000_000);
+    let mut hostile = fs::read(&seg[0]).unwrap();
+    hostile.extend_from_slice(&(deep.len() as u32).to_le_bytes());
+    hostile.extend_from_slice(&toposem_wal::crc32::crc32(deep.as_bytes()).to_le_bytes());
+    hostile.extend_from_slice(deep.as_bytes());
+    ship(&hostile);
+    let deadline = Instant::now() + PATIENCE;
+    let reported = loop {
+        if let Some(why) = follower.last_error() {
+            break why;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the corrupt segment went unreported"
+        );
+        std::thread::sleep(TICK);
+    };
+    assert!(reported.contains("corrupt"), "{reported}");
+    assert_eq!(
+        follower.applied_lsn(),
+        good_lsn,
+        "nothing past the good prefix"
+    );
+
+    // Shipped again intact (with a new commit behind it), the segment
+    // applies: the thread was alive all along.
+    insert_employee(&primary, "bob", 30, "research");
+    primary.sync().unwrap();
+    ship(&fs::read(&seg[0]).unwrap());
+    assert_converges(&primary, &follower, "after the segment was shipped intact");
+    let deadline = Instant::now() + PATIENCE;
+    while follower.last_error().is_some() {
+        assert!(
+            Instant::now() < deadline,
+            "a good round must clear the report"
+        );
+        std::thread::sleep(TICK);
+    }
+    follower.stop();
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Mid-stream disconnect: the link drops while the primary keeps

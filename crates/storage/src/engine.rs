@@ -574,10 +574,11 @@ impl Engine {
     /// the committed state (checkpoint + committed log suffix), truncates
     /// any torn tail, and continues appending to the same log.
     pub fn open(path: impl AsRef<Path>, cfg: WalConfig) -> Result<Engine, EngineError> {
+        let started = Instant::now();
         let (wal, scan) = Wal::open(path, cfg)?;
         let mut eng = Self::from_checkpoint(&scan.meta, &scan.snapshot)?;
-        eng.replay_log(|apply| {
-            scan.records.iter().for_each(apply);
+        eng.replay_log(started, |apply| {
+            scan.records.into_iter().for_each(apply);
             Ok(())
         })?;
         eng.attach_wal(wal);
@@ -593,10 +594,13 @@ impl Engine {
     /// replayed as they are decoded, so memory stays bounded by the
     /// transactions in flight, not by the length of the log.
     pub fn recover(path: impl AsRef<Path>) -> Result<Engine, EngineError> {
+        let started = Instant::now();
         let path = path.as_ref();
         let (meta, snapshot) = toposem_wal::read_checkpoint(path)?;
         let eng = Self::from_checkpoint(&meta, &snapshot)?;
-        eng.replay_log(|apply| toposem_wal::scan_records(path, &meta, |rec| apply(&rec)))?;
+        eng.replay_log(started, |apply| {
+            toposem_wal::scan_records(path, &meta, apply)
+        })?;
         // Rebuild statistics eagerly so the recovered engine is
         // immediately plannable.
         let _ = eng.statistics();
@@ -625,13 +629,16 @@ impl Engine {
         Ok(eng)
     }
 
-    /// Replays the records `feed` hands to its callback through
-    /// [`Engine::apply_record`] and counts the run as a recovery. The
-    /// first failing record fails the whole replay; transactions still
-    /// in flight at the end never committed and are discarded.
+    /// Replays the records `feed` hands to its callback — by value, so
+    /// their operations move into the instances replay builds — through
+    /// [`Engine::apply_record`], and counts the run as a recovery that
+    /// began at `started`. The first failing record fails the whole
+    /// replay; transactions still in flight at the end never committed
+    /// and are discarded.
     fn replay_log(
         &self,
-        feed: impl FnOnce(&mut dyn FnMut(&WalRecord)) -> Result<(), WalError>,
+        started: Instant,
+        feed: impl FnOnce(&mut dyn FnMut(WalRecord)) -> Result<(), WalError>,
     ) -> Result<(), EngineError> {
         let mut inner = self.inner.write();
         let (mut txns, mut ops) = (0, 0);
@@ -653,6 +660,9 @@ impl Engine {
         self.metrics.recovery_runs.inc();
         self.metrics.recovery_replayed_txns.add(txns);
         self.metrics.recovery_replayed_ops.add(ops);
+        self.metrics
+            .recovery_ns
+            .record(started.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -691,7 +701,7 @@ impl Engine {
     pub fn apply_replicated(&self, rec: &WalRecord) -> Result<(), EngineError> {
         let mut inner = self.inner.write();
         let before = inner.applied_lsn;
-        Self::apply_record(&mut inner, &self.metrics, rec)?;
+        Self::apply_record(&mut inner, &self.metrics, rec.clone())?;
         if inner.applied_lsn != before {
             self.metrics.repl.records_applied.inc();
             self.metrics.repl.applied_lsn.set(inner.applied_lsn);
@@ -714,41 +724,41 @@ impl Engine {
     fn apply_record(
         inner: &mut Inner,
         metrics: &EngineMetrics,
-        rec: &WalRecord,
+        rec: WalRecord,
     ) -> Result<Option<u64>, EngineError> {
         if rec.lsn < inner.applied_lsn {
             return Ok(None);
         }
         let mut committed = None;
-        match &rec.entry {
+        match rec.entry {
             WalEntry::Begin { txn } => {
-                inner.repl_active.insert(*txn, Vec::new());
+                inner.repl_active.insert(txn, Vec::new());
             }
             WalEntry::Insert { txn, op } => {
-                let ops = inner.repl_active.entry(*txn).or_default();
-                ops.push((LogKind::Insert, op.clone()));
+                let ops = inner.repl_active.entry(txn).or_default();
+                ops.push((LogKind::Insert, op));
             }
             WalEntry::Delete { txn, op } => {
-                let ops = inner.repl_active.entry(*txn).or_default();
-                ops.push((LogKind::Delete, op.clone()));
+                let ops = inner.repl_active.entry(txn).or_default();
+                ops.push((LogKind::Delete, op));
             }
             WalEntry::Commit { txn } => {
-                committed = Some(Self::apply_committed(inner, metrics, *txn)?);
+                committed = Some(Self::apply_committed(inner, metrics, txn)?);
             }
             WalEntry::Abort { txn } => {
-                inner.repl_active.remove(txn);
+                inner.repl_active.remove(&txn);
             }
             WalEntry::Checkpoint { .. } => {}
             WalEntry::CreateIndex { def } => {
-                let (e, kind, attrs) = resolve_index_def(inner.db.schema(), def)?;
+                let (e, kind, attrs) = resolve_index_def(inner.db.schema(), &def)?;
                 Self::create_index_locked(inner, metrics, e, kind, &attrs)?;
             }
             WalEntry::DropIndex { def } => {
-                let (e, kind, attrs) = resolve_index_def(inner.db.schema(), def)?;
+                let (e, kind, attrs) = resolve_index_def(inner.db.schema(), &def)?;
                 Self::drop_index_locked(inner, metrics, e, kind, &attrs)?;
             }
             WalEntry::DeclareFd { lhs, rhs, context } => {
-                let fd = resolve_fd(inner.db.schema(), (lhs, rhs, context))?;
+                let fd = resolve_fd(inner.db.schema(), (&lhs, &rhs, &context))?;
                 Self::declare_fd_locked(inner, fd)?;
             }
         }
@@ -758,23 +768,35 @@ impl Engine {
 
     /// Applies the buffered operations of committed transaction `txn`,
     /// maintaining every affected index, and returns how many there
-    /// were. Every operation is resolved against the schema before
+    /// were. Each operation's values move into the instance it resolves
+    /// to. Every operation is resolved against the schema before
     /// anything is mutated: if one fails, nothing is applied and the
-    /// operations stay buffered, so a retry fails the same way.
+    /// transaction is buffered again as it was logged, so a retry fails
+    /// the same way.
     fn apply_committed(
         inner: &mut Inner,
         metrics: &EngineMetrics,
         txn: u64,
     ) -> Result<u64, EngineError> {
-        let resolved = inner
-            .repl_active
-            .get(&txn)
-            .map_or(&[][..], Vec::as_slice)
-            .iter()
-            .map(|(kind, op)| op.resolve(&inner.db).map(|(e, t)| (*kind, e, t)))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| EngineError::Recovery(e.to_string()))?;
-        inner.repl_active.remove(&txn);
+        let ops = inner.repl_active.remove(&txn).unwrap_or_default();
+        let mut resolved = Vec::with_capacity(ops.len());
+        let mut pending = ops.into_iter();
+        while let Some((kind, op)) = pending.next() {
+            match op.resolve(&inner.db) {
+                Ok((e, t)) => resolved.push((kind, e, t)),
+                Err((err, op)) => {
+                    let db = &inner.db;
+                    let rebuffered = resolved
+                        .into_iter()
+                        .map(|(kind, e, t)| (kind, LogicalOp::describe(db, e, &t)))
+                        .chain(std::iter::once((kind, op)))
+                        .chain(pending)
+                        .collect();
+                    inner.repl_active.insert(txn, rebuffered);
+                    return Err(EngineError::Recovery(err.to_string()));
+                }
+            }
+        }
         let n = resolved.len() as u64;
         if n == 0 {
             return Ok(0);

@@ -240,6 +240,16 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_a_decode_error() {
+        let deep = "[".repeat(1_000_000);
+        for payload in [deep.clone(), format!("{{\"pad\":{deep}")] {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(payload.as_bytes());
+            assert!(matches!(load(&bytes[..]), Err(SnapshotError::Decode(_))));
+        }
+    }
+
+    #[test]
     fn snapshots_are_self_identifying() {
         let db = Database::new(
             Intension::analyse(employee_schema()),

@@ -438,8 +438,9 @@ fn a_replicated_commit_that_cannot_resolve_applies_nothing() {
 }
 
 /// Recovery counters count `Engine::recover` and `Engine::open` only:
-/// one run, one replayed transaction per applied `Commit`, one op per
-/// logged operation. A replica's bootstrap and apply are no recovery.
+/// one run and one duration sample, one replayed transaction per applied
+/// `Commit`, one op per logged operation. A replica's bootstrap and
+/// apply are no recovery.
 #[test]
 fn recovery_metrics_count_log_replays_not_replica_bootstraps() {
     let dir = temp_dir("metrics");
@@ -460,6 +461,8 @@ fn recovery_metrics_count_log_replays_not_replica_bootstraps() {
 
     let recovery = |eng: &Engine| {
         let r = eng.metrics_snapshot().recovery;
+        assert_eq!(r.duration_ns.count, r.runs, "one duration per run");
+        assert!(r.runs == 0 || r.duration_ns.sum > 0);
         (r.runs, r.replayed_txns, r.replayed_ops)
     };
     assert_eq!(recovery(&Engine::recover(&dir).unwrap()), (1, 4, 5));

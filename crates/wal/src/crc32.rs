@@ -1,36 +1,66 @@
 //! CRC-32 (IEEE 802.3 polynomial, reflected) for record framing.
 //!
 //! The container builds offline, so the checksum is implemented here
-//! rather than pulled from a crate: a compile-time 256-entry table and
-//! the standard byte-at-a-time update loop.
+//! rather than pulled from a crate: slicing-by-8 over eight compile-time
+//! 256-entry tables, which folds eight input bytes per step instead of
+//! one. The values are those of the standard byte-at-a-time loop (kept
+//! as the test reference).
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const POLY: u32 = 0xEDB8_8320;
+
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is
+/// the CRC contribution of byte `b` followed by `k` zero bytes.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ POLY
             } else {
                 crc >> 1
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// The CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -38,6 +68,17 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The standard byte-at-a-time loop: the reference [`crc32`] must
+    /// equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn known_vectors() {
@@ -45,6 +86,10 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]
@@ -56,6 +101,19 @@ mod tests {
             corrupted[i] ^= 1;
             assert_ne!(crc32(&corrupted), base, "flip at byte {i} undetected");
             corrupted[i] ^= 1;
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_crc_matches_the_bytewise_reference(
+            data in prop::collection::vec(0u8..=255, 0..=4096),
+        ) {
+            // Every start alignment, so the 8-byte steps and the tail
+            // loop split the buffer every possible way.
+            for start in 0..8.min(data.len() + 1) {
+                prop_assert_eq!(crc32(&data[start..]), crc32_bytewise(&data[start..]));
+            }
         }
     }
 }

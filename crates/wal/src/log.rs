@@ -26,7 +26,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use toposem_obs::WalMetrics;
 
-use crate::record::{decode_record, encode_record, Decoded, IndexDef, WalEntry, WalRecord};
+use crate::record::{decode_record, encode_record_into, Decoded, IndexDef, WalEntry, WalRecord};
 use crate::{FlushPolicy, WalConfig, WalError};
 
 const SEG_MAGIC: &[u8; 8] = b"TSWALSEG";
@@ -347,6 +347,8 @@ pub struct Wal {
     pending_commits: usize,
     oldest_pending: Option<Instant>,
     metrics: Arc<WalMetrics>,
+    /// The frame being appended; its buffer is reused across appends.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -372,6 +374,7 @@ impl Wal {
             pending_commits: 0,
             oldest_pending: None,
             metrics: Arc::new(WalMetrics::default()),
+            frame: Vec::new(),
         })
     }
 
@@ -413,6 +416,7 @@ impl Wal {
                 pending_commits: 0,
                 oldest_pending: None,
                 metrics: Arc::new(WalMetrics::default()),
+                frame: Vec::new(),
             },
             scan,
         ))
@@ -472,10 +476,11 @@ impl Wal {
     /// the record's LSN.
     pub fn append(&mut self, entry: WalEntry) -> Result<u64, WalError> {
         let lsn = self.next_lsn;
-        let framed = encode_record(&WalRecord { lsn, entry })?;
-        self.writer.write_all(&framed)?;
+        self.frame.clear();
+        encode_record_into(&WalRecord { lsn, entry }, &mut self.frame)?;
+        self.writer.write_all(&self.frame)?;
         self.next_lsn += 1;
-        self.seg_len += framed.len() as u64;
+        self.seg_len += self.frame.len() as u64;
         if self.seg_len >= self.cfg.segment_bytes {
             self.rotate()?;
         }

@@ -140,12 +140,30 @@ impl WalEntry {
 
 /// Frames a record for appending.
 pub fn encode_record(rec: &WalRecord) -> Result<Vec<u8>, WalError> {
-    let payload = serde_json::to_vec(rec)?;
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    encode_record_into(rec, &mut out)?;
     Ok(out)
+}
+
+/// Appends `rec`'s frame to `out`: the payload is written in place behind
+/// a header that is filled in once its length and checksum are known. A
+/// payload over [`MAX_RECORD_LEN`] — which [`decode_record`] would
+/// reject as corrupt — is refused and `out` left as it was.
+pub fn encode_record_into(rec: &WalRecord, out: &mut Vec<u8>) -> Result<(), WalError> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    rec.serialize(out);
+    let len = out.len() - at - 8;
+    if len > MAX_RECORD_LEN {
+        out.truncate(at);
+        return Err(WalError::Encode(format!(
+            "a {len}-byte record exceeds the {MAX_RECORD_LEN}-byte frame limit"
+        )));
+    }
+    let crc = crc32(&out[at + 8..]);
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// Outcome of decoding one frame at an offset.
@@ -163,6 +181,19 @@ pub enum Decoded {
     /// The tail is torn or corrupt from this offset on; the reason is
     /// diagnostic only.
     Torn(&'static str),
+}
+
+/// The [`Decoded::Torn`] reason of a whole, checksum-valid frame whose
+/// payload is not a record.
+const UNDECODABLE: &str = "undecodable payload";
+
+impl Decoded {
+    /// Whether the frame here is whole and its checksum valid, yet its
+    /// payload does not decode: corruption that no later byte repairs,
+    /// unlike a frame cut short.
+    pub fn is_undecodable(&self) -> bool {
+        matches!(self, Decoded::Torn(why) if *why == UNDECODABLE)
+    }
 }
 
 /// Decodes the frame starting at `at` in `buf`.
@@ -191,7 +222,7 @@ pub fn decode_record(buf: &[u8], at: usize) -> Decoded {
             rec,
             next: at + 8 + len,
         },
-        Err(_) => Decoded::Torn("undecodable payload"),
+        Err(_) => Decoded::Torn(UNDECODABLE),
     }
 }
 
@@ -247,6 +278,29 @@ mod tests {
             );
             bad[i] ^= 0x40;
         }
+    }
+
+    /// Frames `payload` with a valid length and checksum.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut framed = (payload.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(&crc32(payload).to_le_bytes());
+        framed.extend_from_slice(payload);
+        framed
+    }
+
+    #[test]
+    fn hostile_nesting_in_a_checksum_valid_frame_is_torn() {
+        let deep = "[".repeat(1_000_000);
+        for payload in [deep.clone(), format!("{{\"lsn\":1,\"pad\":{deep}")] {
+            let decoded = decode_record(&frame(payload.as_bytes()), 0);
+            assert!(
+                matches!(decoded, Decoded::Torn(_)) && decoded.is_undecodable(),
+                "{decoded:?}"
+            );
+        }
+        // A frame cut short is torn, but not undecodable.
+        let framed = frame(b"{}");
+        assert!(!decode_record(&framed[..framed.len() - 1], 0).is_undecodable());
     }
 
     #[test]

@@ -148,6 +148,25 @@ fn version_1_checkpoint_is_rejected_explicitly() {
 }
 
 #[test]
+fn hostile_nesting_in_a_checkpoint_header_is_a_bad_checkpoint() {
+    let dir = temp_dir("deep-ckpt");
+    fs::create_dir_all(&dir).unwrap();
+    let deep = "[".repeat(1_000_000);
+    for header in [
+        deep.clone(),
+        format!("{{\"magic\":\"TOPOSEM-WAL-CKPT\",\"version\":2,\"pad\":{deep}"),
+    ] {
+        fs::write(dir.join("checkpoint.snap"), format!("{header}\npayload")).unwrap();
+        assert!(matches!(
+            read_checkpoint_meta(&dir),
+            Err(WalError::BadCheckpoint(_))
+        ));
+        assert!(matches!(scan(&dir), Err(WalError::BadCheckpoint(_))));
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn segments_rotate_and_scan_in_order() {
     let dir = temp_dir("rotate");
     let cfg = WalConfig {
