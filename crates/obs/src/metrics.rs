@@ -226,7 +226,7 @@ impl Default for WalMetrics {
 /// obs depending on it. A primary's shipper updates the shipped side; a
 /// follower updates both the shipped watermark it has *seen* and the
 /// applied side, so `lag` is meaningful on whichever end exports it.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ReplicationMetrics {
     /// Highest LSN published through the segment transport (primary) or
     /// observed in the transport manifest (follower).
@@ -246,6 +246,30 @@ pub struct ReplicationMetrics {
     /// Times a follower re-bootstrapped from a newer checkpoint because
     /// the segments it needed were superseded.
     pub rebootstraps: Counter,
+    /// Shipping rounds a primary's shipper ran, failed ones included.
+    pub ship_rounds: Counter,
+    /// Shipping rounds that failed (transport down, a segment removed
+    /// by a racing checkpoint, a failed sync).
+    pub ship_errors: Counter,
+    /// Wall time of each shipping round, sync included, in nanoseconds.
+    pub ship_round_ns: Histogram,
+}
+
+impl Default for ReplicationMetrics {
+    fn default() -> Self {
+        ReplicationMetrics {
+            shipped_lsn: Gauge::default(),
+            applied_lsn: Gauge::default(),
+            segments_shipped: Counter::default(),
+            bytes_shipped: Counter::default(),
+            checkpoints_shipped: Counter::default(),
+            records_applied: Counter::default(),
+            rebootstraps: Counter::default(),
+            ship_rounds: Counter::default(),
+            ship_errors: Counter::default(),
+            ship_round_ns: Histogram::new(LATENCY_NS_BOUNDS),
+        }
+    }
 }
 
 /// The engine-wide registry. One instance per [`Engine`]; every layer
@@ -420,6 +444,9 @@ impl EngineMetrics {
                 checkpoints_shipped: self.repl.checkpoints_shipped.get(),
                 records_applied: self.repl.records_applied.get(),
                 rebootstraps: self.repl.rebootstraps.get(),
+                ship_rounds: self.repl.ship_rounds.get(),
+                ship_errors: self.repl.ship_errors.get(),
+                ship_round_ns: self.repl.ship_round_ns.snapshot(),
             },
             planner_qerror: self.planner_qerror.snapshot(),
             mvcc: MvccStats {
@@ -542,8 +569,8 @@ pub struct WalStats {
     pub checkpoint_ns: HistogramSnapshot,
 }
 
-/// Replication counters and watermarks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Replication counters, watermarks, and shipping-round latency.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplicationStats {
     /// Highest LSN published/observed through the transport.
     pub shipped_lsn: u64,
@@ -559,6 +586,12 @@ pub struct ReplicationStats {
     pub records_applied: u64,
     /// Follower re-bootstraps from a newer checkpoint.
     pub rebootstraps: u64,
+    /// Shipping rounds run, failed ones included.
+    pub ship_rounds: u64,
+    /// Shipping rounds that failed.
+    pub ship_errors: u64,
+    /// Shipping-round duration histogram (ns).
+    pub ship_round_ns: HistogramSnapshot,
 }
 
 impl ReplicationStats {
@@ -750,6 +783,16 @@ impl MetricsSnapshot {
             self.repl.rebootstraps,
         );
         counter(
+            "toposem_repl_ship_rounds_total",
+            "Shipping rounds a primary's shipper ran, failed ones included",
+            self.repl.ship_rounds,
+        );
+        counter(
+            "toposem_repl_ship_errors_total",
+            "Shipping rounds that failed",
+            self.repl.ship_errors,
+        );
+        counter(
             "toposem_feedback_corrections_applied",
             "Non-neutral selectivity corrections applied during planning",
             self.feedback.corrections_applied,
@@ -846,6 +889,11 @@ impl MetricsSnapshot {
             "Checkpoint duration in nanoseconds",
             &mut out,
         );
+        self.repl.ship_round_ns.render_prometheus(
+            "toposem_repl_ship_round_duration_ns",
+            "Wall time of each shipping round, log sync included, in nanoseconds",
+            &mut out,
+        );
         out
     }
 }
@@ -881,6 +929,9 @@ mod tests {
         m.repl.shipped_lsn.set(42);
         m.repl.applied_lsn.set(40);
         m.repl.segments_shipped.add(5);
+        m.repl.ship_rounds.add(6);
+        m.repl.ship_errors.inc();
+        m.repl.ship_round_ns.record(250_000);
         m.snapshot_rebuild_ns.record(40_000);
         m.stats_collect_ns.record(2_000_000);
         m.stats_types_reused.add(4);
@@ -903,6 +954,13 @@ mod tests {
         assert!(text.contains("toposem_repl_applied_lsn 40"));
         assert!(text.contains("toposem_repl_lag_records 2"));
         assert!(text.contains("toposem_repl_segments_shipped_total 5"));
+        assert!(text.contains("# TYPE toposem_repl_ship_rounds_total counter"));
+        assert!(text.contains("toposem_repl_ship_rounds_total 6"));
+        assert!(text.contains("toposem_repl_ship_errors_total 1"));
+        assert!(text.contains("# TYPE toposem_repl_ship_round_duration_ns histogram"));
+        assert!(text.contains("toposem_repl_ship_round_duration_ns_bucket{le=\"100000\"} 0"));
+        assert!(text.contains("toposem_repl_ship_round_duration_ns_bucket{le=\"300000\"} 1"));
+        assert!(text.contains("toposem_repl_ship_round_duration_ns_sum 250000"));
         assert!(text.contains("# TYPE toposem_snapshot_rebuild_duration_ns histogram"));
         assert!(text.contains("toposem_snapshot_rebuild_duration_ns_bucket{le=\"100000\"} 1"));
         assert!(text.contains("toposem_snapshot_rebuild_duration_ns_sum 40000"));

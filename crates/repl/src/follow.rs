@@ -12,6 +12,10 @@
 //! watermark stays on it, and the round stops there and retries it the
 //! next time instead of skipping past it.
 //!
+//! A round runs when the transport reports a new manifest
+//! ([`SegmentTransport::wait_for_change`]) and at least once per poll
+//! interval, which is also the pace on a transport that cannot report.
+//!
 //! Per segment the follower keeps one byte offset: the end of the last
 //! CRC-valid frame it decoded. Each round it fetches only bytes past
 //! that offset and stops at the first torn frame, waiting for the
@@ -45,7 +49,9 @@ use crate::ReplError;
 /// Follower tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct FollowerConfig {
-    /// How often to poll the transport for a newer manifest.
+    /// The longest the follower waits for the transport to report a new
+    /// manifest before it fetches one anyway; a transport that cannot
+    /// report publications is polled at this interval.
     pub poll_interval: Duration,
     /// How long a [`Consistency::AtLeast`] query may wait for
     /// replication to reach its LSN before failing with
@@ -120,8 +126,9 @@ impl Follower {
             std::thread::Builder::new()
                 .name("toposem-follower".into())
                 .spawn(move || {
+                    let mut seen = 0;
                     while !stop.load(Ordering::SeqCst) {
-                        std::thread::park_timeout(cfg.poll_interval);
+                        seen = shared.transport.wait_for_change(seen, cfg.poll_interval);
                         if stop.load(Ordering::SeqCst) {
                             break;
                         }

@@ -2,7 +2,10 @@
 //! the engine's log directory and publishes checkpoint, segments, and
 //! manifest through a [`SegmentTransport`].
 //!
-//! Each round the shipper:
+//! The thread runs a round as soon as a commit or DDL record lands
+//! ([`Engine::wait_for_log`]), and at least once per poll interval —
+//! which is what ships checkpoints, records of a still-open transaction,
+//! and retries after a failed round. Each round the shipper:
 //!
 //! 1. syncs the engine's log so buffered commit records reach the
 //!    segment files (bounding follower staleness by the poll interval
@@ -19,8 +22,9 @@
 //! Ordering matters: blobs before manifest, removals after — a follower
 //! acting on any manifest it observes finds every blob that manifest
 //! names. Transient failures (a segment deleted by a concurrent
-//! checkpoint mid-round, a transport hiccup) abort the round; the next
-//! poll starts over from the directory's current truth.
+//! checkpoint mid-round, a transport hiccup) abort the round, and
+//! [`Shipper::last_error`] reports them; the next round starts over from
+//! the directory's current truth.
 
 use std::collections::HashMap;
 use std::fs;
@@ -29,8 +33,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
 use toposem_storage::Engine;
 use toposem_wal::{
     crc32::crc32, list_segments, read_checkpoint, read_checkpoint_meta, segment_first_lsn,
@@ -42,7 +47,8 @@ use crate::ReplError;
 /// Shipper tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct ShipperConfig {
-    /// How often to scan the log directory for new bytes.
+    /// The longest the shipper waits for a commit before it scans the
+    /// log directory anyway.
     pub poll_interval: Duration,
 }
 
@@ -119,6 +125,8 @@ fn read_change(path: &Path, prev: Option<ShippedState>) -> io::Result<(Change, S
 /// thread after its current round.
 pub struct Shipper {
     stop: Arc<AtomicBool>,
+    /// Why the thread's latest round failed, if it did.
+    last_error: Arc<Mutex<Option<String>>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -136,30 +144,47 @@ impl Shipper {
     ) -> Result<Shipper, ReplError> {
         let dir = engine.wal_dir().ok_or(ReplError::NotDurable)?;
         let stop = Arc::new(AtomicBool::new(false));
+        let last_error = Arc::new(Mutex::new(None));
         let mut state = ShipperState::default();
-        ship_round(&engine, &dir, transport.as_ref(), &mut state)?;
+        // Taken before each round: a commit the round may have missed
+        // takes the log past it and ends the next wait at once.
+        let mut seen = engine.wal_next_lsn().unwrap_or(0);
+        timed_round(&engine, &dir, transport.as_ref(), &mut state)?;
         let thread = {
             let stop = Arc::clone(&stop);
+            let last_error = Arc::clone(&last_error);
             std::thread::Builder::new()
                 .name("toposem-shipper".into())
                 .spawn(move || {
                     while !stop.load(Ordering::SeqCst) {
-                        std::thread::park_timeout(cfg.poll_interval);
+                        engine.wait_for_log(seen, cfg.poll_interval);
                         if stop.load(Ordering::SeqCst) {
                             break;
                         }
+                        seen = engine.wal_next_lsn().unwrap_or(seen);
                         // Transient faults (offline transport, racing
-                        // checkpoint) abort the round; the next poll
+                        // checkpoint) abort the round; the next one
                         // re-derives everything from the directory.
-                        let _ = ship_round(&engine, &dir, transport.as_ref(), &mut state);
+                        let outcome = timed_round(&engine, &dir, transport.as_ref(), &mut state);
+                        *last_error.lock() = outcome.err().map(|e| e.to_string());
                     }
                 })
                 .map_err(|e| ReplError::Wal(e.to_string()))?
         };
         Ok(Shipper {
             stop,
+            last_error,
             thread: Some(thread),
         })
+    }
+
+    /// Why the shipping thread's most recent round failed — the
+    /// transport, the log directory, or the sync before shipping — or
+    /// `None` when it succeeded. The thread keeps shipping either way,
+    /// and the next successful round ships everything the failed ones
+    /// did not.
+    pub fn last_error(&self) -> Option<String> {
+        self.last_error.lock().clone()
     }
 
     /// Ask the thread to stop and wait for it.
@@ -186,6 +211,25 @@ impl Drop for Shipper {
 struct ShipperState {
     ckpt_next_lsn: Option<u64>,
     shipped: HashMap<String, ShippedState>,
+}
+
+/// One [`ship_round`], counted and timed in the engine's replication
+/// metrics.
+fn timed_round(
+    engine: &Engine,
+    dir: &Path,
+    transport: &dyn SegmentTransport,
+    state: &mut ShipperState,
+) -> Result<(), ReplError> {
+    let repl = &engine.metrics().repl;
+    let t0 = Instant::now();
+    let outcome = ship_round(engine, dir, transport, state);
+    repl.ship_round_ns.record(t0.elapsed().as_nanos() as u64);
+    repl.ship_rounds.inc();
+    if outcome.is_err() {
+        repl.ship_errors.inc();
+    }
+    outcome
 }
 
 fn ship_round(

@@ -17,6 +17,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::Thread;
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use toposem_wal::CheckpointMeta;
@@ -126,6 +128,20 @@ pub trait SegmentTransport: Send + Sync {
     fn publish_manifest(&self, m: &Manifest) -> Result<(), TransportError>;
     /// Fetch the current manifest, if any.
     fn fetch_manifest(&self) -> Result<Option<Manifest>, TransportError>;
+    /// Block until the manifest may have changed since change token
+    /// `seen`, at most `timeout`, and return the token to pass next time.
+    /// A follower takes the token *before* it fetches the manifest, so a
+    /// publication after the fetch ends its next wait at once.
+    ///
+    /// The waiting thread parks, so the wait also ends when anything
+    /// unparks it (that is how a stopping follower interrupts it) or
+    /// spuriously; callers fetch the manifest and look. The provided
+    /// method cannot see publications: it sleeps out `timeout` and
+    /// returns `seen`, a poll. A store that can notify overrides it.
+    fn wait_for_change(&self, seen: u64, timeout: Duration) -> u64 {
+        std::thread::park_timeout(timeout);
+        seen
+    }
 }
 
 fn short_segment(name: &str, at: u64) -> TransportError {
@@ -159,6 +175,11 @@ struct InProcessState {
     checkpoint: Option<Vec<u8>>,
     manifest: Option<Manifest>,
     segments: HashMap<String, Vec<u8>>,
+    /// The change token: bumped by every manifest publication.
+    version: u64,
+    /// Threads parked in `wait_for_change`, unparked by the next
+    /// publication.
+    waiters: Vec<Thread>,
 }
 
 /// An in-memory transport: primary and followers share one store
@@ -168,6 +189,10 @@ struct InProcessState {
 /// [`set_offline`](InProcessTransport::set_offline) simulates a network
 /// partition — every call fails until the link is restored — which is
 /// how the tests exercise mid-stream disconnect and catch-up.
+///
+/// Publishing a manifest wakes every follower waiting in
+/// [`wait_for_change`](SegmentTransport::wait_for_change), so a follower
+/// applies a shipped commit as it arrives.
 #[derive(Clone, Default)]
 pub struct InProcessTransport {
     state: Arc<Mutex<InProcessState>>,
@@ -248,13 +273,35 @@ impl SegmentTransport for InProcessTransport {
 
     fn publish_manifest(&self, m: &Manifest) -> Result<(), TransportError> {
         self.check_link()?;
-        self.state.lock().unwrap().manifest = Some(m.clone());
+        let mut state = self.state.lock().unwrap();
+        state.manifest = Some(m.clone());
+        state.version += 1;
+        for t in state.waiters.drain(..) {
+            t.unpark();
+        }
         Ok(())
     }
 
     fn fetch_manifest(&self) -> Result<Option<Manifest>, TransportError> {
         self.check_link()?;
         Ok(self.state.lock().unwrap().manifest.clone())
+    }
+
+    fn wait_for_change(&self, seen: u64, timeout: Duration) -> u64 {
+        let me = std::thread::current();
+        {
+            let mut state = self.state.lock().unwrap();
+            if state.version != seen {
+                return state.version;
+            }
+            // Registered under the lock that publication takes: a
+            // publication after the check finds this thread to unpark.
+            state.waiters.push(me.clone());
+        }
+        std::thread::park_timeout(timeout);
+        let mut state = self.state.lock().unwrap();
+        state.waiters.retain(|t| t.id() != me.id());
+        state.version
     }
 }
 

@@ -606,6 +606,192 @@ fn kill_primary_then_restart_both_sides() {
 }
 
 // ---------------------------------------------------------------------
+// Waking on arrival: a commit wakes the shipper, a published manifest
+// wakes the follower, and a stop wakes both. The `wake_` prefix selects
+// these tests for the repeated single-CPU CI run.
+// ---------------------------------------------------------------------
+
+/// Longer than any of these tests may take: a wait that lasted a whole
+/// poll interval fails them.
+const SLOW_POLL: Duration = Duration::from_secs(10);
+
+#[test]
+fn wake_an_autocommit_reaches_the_follower_without_waiting_a_poll() {
+    let dir = temp_dir("wake");
+    let primary = durable_engine(&dir, FlushPolicy::NoSync);
+    let transport = Arc::new(InProcessTransport::new());
+    let shipper = Shipper::start(
+        Arc::clone(&primary),
+        transport.clone() as Arc<dyn SegmentTransport>,
+        ShipperConfig {
+            poll_interval: SLOW_POLL,
+        },
+    )
+    .unwrap();
+    let follower = Follower::start(
+        transport as Arc<dyn SegmentTransport>,
+        FollowerConfig {
+            poll_interval: SLOW_POLL,
+            ..FollowerConfig::default()
+        },
+    )
+    .unwrap();
+    for (i, name) in NAMES.iter().enumerate() {
+        insert_employee(&primary, name, i as i64, DEPS[i % DEPS.len()]);
+        let target = primary.wal_next_lsn().unwrap();
+        assert!(
+            follower.wait_for_lsn(target, Duration::from_secs(1)),
+            "insert {i} not applied within 1 s: follower at {} < {target}",
+            follower.applied_lsn()
+        );
+    }
+    assert_converges(&primary, &follower, "woken replication");
+    shipper.stop();
+    follower.stop();
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The spool transport keeps the provided `wait_for_change`, a sleep:
+/// its follower still applies within about one of its own polls, while
+/// the shipper (polling only every 10 s) ships on the commit.
+#[test]
+fn wake_dir_transport_converges_within_its_poll() {
+    let dir = temp_dir("wake-dir-src");
+    let spool = temp_dir("wake-dir-spool");
+    let primary = durable_engine(&dir, FlushPolicy::NoSync);
+    let transport = Arc::new(DirTransport::new(&spool).unwrap());
+    let _shipper = Shipper::start(
+        Arc::clone(&primary),
+        transport.clone() as Arc<dyn SegmentTransport>,
+        ShipperConfig {
+            poll_interval: SLOW_POLL,
+        },
+    )
+    .unwrap();
+    let poll = Duration::from_millis(200);
+    let follower = Follower::start(
+        transport as Arc<dyn SegmentTransport>,
+        FollowerConfig {
+            poll_interval: poll,
+            ..FollowerConfig::default()
+        },
+    )
+    .unwrap();
+    insert_employee(&primary, "ann", 40, "sales");
+    let target = primary.wal_next_lsn().unwrap();
+    // One poll plus slack for a loaded scheduler; far below the
+    // shipper's own 10 s poll.
+    assert!(
+        follower.wait_for_lsn(target, poll * 5),
+        "follower at {} < {target} after five polls",
+        follower.applied_lsn()
+    );
+    assert_converges(&primary, &follower, "dir transport, woken shipper");
+    fs::remove_dir_all(&dir).unwrap();
+    fs::remove_dir_all(&spool).unwrap();
+}
+
+/// Stopping interrupts the waits: neither side sits out its 10 s poll.
+#[test]
+fn wake_stop_and_drop_return_promptly() {
+    let dir = temp_dir("wake-stop");
+    let spool = temp_dir("wake-stop-spool");
+    let primary = durable_engine(&dir, FlushPolicy::NoSync);
+    let transports: [Arc<dyn SegmentTransport>; 2] = [
+        Arc::new(InProcessTransport::new()),
+        Arc::new(DirTransport::new(&spool).unwrap()),
+    ];
+    let slow_follow = FollowerConfig {
+        poll_interval: SLOW_POLL,
+        ..FollowerConfig::default()
+    };
+    for transport in transports {
+        let shipper = Shipper::start(
+            Arc::clone(&primary),
+            Arc::clone(&transport),
+            ShipperConfig {
+                poll_interval: SLOW_POLL,
+            },
+        )
+        .unwrap();
+        let follower = Follower::start(Arc::clone(&transport), slow_follow).unwrap();
+        // Let both threads reach their waits.
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        shipper.stop();
+        let stopped = t0.elapsed();
+        assert!(
+            stopped < Duration::from_millis(200),
+            "stop took {stopped:?}"
+        );
+        let t0 = Instant::now();
+        drop(follower);
+        let dropped = t0.elapsed();
+        assert!(
+            dropped < Duration::from_millis(200),
+            "drop took {dropped:?}"
+        );
+    }
+    fs::remove_dir_all(&dir).unwrap();
+    fs::remove_dir_all(&spool).unwrap();
+}
+
+/// A failed shipping round is reported and counted, not dropped; once
+/// the link is back the report clears and the follower catches up.
+#[test]
+fn shipper_reports_failed_rounds_and_recovers() {
+    let dir = temp_dir("ship-err");
+    let primary = durable_engine(&dir, FlushPolicy::NoSync);
+    let transport = Arc::new(InProcessTransport::new());
+    let shipper = Shipper::start(
+        Arc::clone(&primary),
+        transport.clone() as Arc<dyn SegmentTransport>,
+        fast_ship(),
+    )
+    .unwrap();
+    let follower = Follower::start(
+        transport.clone() as Arc<dyn SegmentTransport>,
+        fast_follow(),
+    )
+    .unwrap();
+    assert_eq!(shipper.last_error(), None);
+
+    transport.set_offline(true);
+    insert_employee(&primary, "ann", 40, "sales");
+    let deadline = Instant::now() + PATIENCE;
+    let reported = loop {
+        if let Some(why) = shipper.last_error() {
+            break why;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the failed round went unreported"
+        );
+        std::thread::sleep(TICK);
+    };
+    assert!(reported.contains("link down"), "{reported}");
+    let repl = primary.metrics_snapshot().repl;
+    assert!(repl.ship_errors >= 1, "{repl:?}");
+    assert!(repl.ship_rounds > repl.ship_errors, "{repl:?}");
+    // A round is timed before it is counted, and the snapshot reads the
+    // count first.
+    assert!(repl.ship_round_ns.count >= repl.ship_rounds, "{repl:?}");
+
+    transport.set_offline(false);
+    insert_employee(&primary, "bob", 30, "research");
+    assert_converges(&primary, &follower, "after the link came back");
+    let deadline = Instant::now() + PATIENCE;
+    while shipper.last_error().is_some() {
+        assert!(
+            Instant::now() < deadline,
+            "a good round must clear the report"
+        );
+        std::thread::sleep(TICK);
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
 // Differential oracle: primary ≡ follower for random workloads.
 // ---------------------------------------------------------------------
 

@@ -426,7 +426,12 @@ struct Replicated {
     handle: ServerHandle,
 }
 
-fn replicated_server(tag: &str, max_lsn_wait: Duration, staleness: Duration) -> Replicated {
+fn replicated_server(
+    tag: &str,
+    poll_interval: Duration,
+    max_lsn_wait: Duration,
+    staleness: Duration,
+) -> Replicated {
     let dir = temp_dir(tag);
     let wal = Wal::create(
         &dir,
@@ -451,16 +456,14 @@ fn replicated_server(tag: &str, max_lsn_wait: Duration, staleness: Duration) -> 
     let shipper = Shipper::start(
         Arc::clone(&primary),
         transport.clone() as Arc<dyn SegmentTransport>,
-        ShipperConfig {
-            poll_interval: Duration::from_millis(2),
-        },
+        ShipperConfig { poll_interval },
     )
     .unwrap();
     let follower = Arc::new(
         Follower::start_when_ready(
             transport.clone() as Arc<dyn SegmentTransport>,
             FollowerConfig {
-                poll_interval: Duration::from_millis(2),
+                poll_interval,
                 max_lsn_wait,
             },
             Duration::from_secs(10),
@@ -490,7 +493,12 @@ fn query_traces(eng: &Engine) -> usize {
 
 #[test]
 fn replica_serves_reads_and_primary_takes_writes() {
-    let r = replicated_server("route", Duration::from_secs(5), Duration::from_secs(5));
+    let r = replicated_server(
+        "route",
+        Duration::from_millis(2),
+        Duration::from_secs(5),
+        Duration::from_secs(5),
+    );
     let mut a = Client::connect(&r.handle);
     let mut b = Client::connect(&r.handle);
 
@@ -538,6 +546,7 @@ fn stale_replica_falls_back_to_the_primary() {
     // Tiny bounds: a stalled replica must not block reads for long.
     let r = replicated_server(
         "stale",
+        Duration::from_millis(2),
         Duration::from_millis(20),
         Duration::from_millis(20),
     );
@@ -569,6 +578,38 @@ fn stale_replica_falls_back_to_the_primary() {
         .follower
         .wait_for_lsn(r.primary.wal_next_lsn().unwrap(), Duration::from_secs(10)));
     assert_eq!(c.ok("QUERY scan employee").len(), 2);
+}
+
+/// With 10 s polls on both replication sides, a session's read of its
+/// own write is still served by the follower inside a 1 s staleness
+/// bound: the commit wakes the shipper and the manifest wakes the
+/// follower. (Run with `wake_` filters in the single-CPU CI step.)
+#[test]
+fn wake_read_your_writes_is_served_by_the_replica() {
+    let r = replicated_server(
+        "wake-ryw",
+        Duration::from_secs(10),
+        Duration::from_secs(1),
+        Duration::from_secs(1),
+    );
+    let planned = |e: &Engine| e.metrics_snapshot().queries.planned;
+    let mut c = Client::connect(&r.handle);
+    for i in 0..3 {
+        c.ok(&format!(
+            "INSERT employee name='w{i}', age={i}, depname='sales'"
+        ));
+        let (primary_before, replica_before) = (planned(&r.primary), planned(&r.follower.engine()));
+        assert_eq!(c.ok("QUERY scan employee").len(), i + 1);
+        assert!(
+            planned(&r.follower.engine()) > replica_before,
+            "read {i} must execute on the replica"
+        );
+        assert_eq!(
+            planned(&r.primary),
+            primary_before,
+            "read {i} fell back to the primary"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

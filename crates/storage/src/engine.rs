@@ -15,11 +15,11 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use toposem_core::TypeId;
 use toposem_extension::{Database, Instance, InstanceError, LogicalOp, Value};
 use toposem_fd::{check_fd, Fd};
@@ -420,6 +420,67 @@ impl Drop for GroupCommitFlusher {
     }
 }
 
+/// The log-advance signal behind [`Engine::wait_for_log`]: the log's
+/// commit watermark, and the threads parked until it moves.
+///
+/// A writer stores the watermark, then reads the waiter count; a waiter
+/// counts itself in, then reads the watermark under `parked`'s lock, and
+/// a writer that saw it counted takes that lock to unpark. Either the
+/// writer sees the waiter and wakes it, or the waiter sees the new
+/// watermark, so no wake-up is lost — and a write nobody waits for pays
+/// one atomic load.
+#[derive(Default)]
+struct LogSignal {
+    /// The log's `next_lsn` when it was attached, then after each
+    /// `Commit` or DDL record. Stored under the engine write lock, so it
+    /// only grows.
+    lsn: AtomicU64,
+    /// Threads inside [`LogSignal::wait`].
+    waiters: AtomicUsize,
+    /// The threads to unpark when the watermark moves.
+    parked: Mutex<Vec<std::thread::Thread>>,
+}
+
+impl LogSignal {
+    /// Moves the watermark to `lsn`; call under the engine write lock.
+    fn publish(&self, lsn: u64) {
+        self.lsn.store(lsn, Ordering::SeqCst);
+    }
+
+    /// Wakes every waiter; call after releasing the engine lock.
+    fn notify(&self) {
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            // A push or retain leaves the list valid at every step.
+            let parked = self.parked.lock().unwrap_or_else(|e| e.into_inner());
+            for t in parked.iter() {
+                t.unpark();
+            }
+        }
+    }
+
+    fn wait(&self, past_lsn: u64, timeout: Duration) -> bool {
+        let me = std::thread::current();
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let passed = {
+            let mut parked = self.parked.lock().unwrap_or_else(|e| e.into_inner());
+            let passed = self.lsn.load(Ordering::SeqCst) > past_lsn;
+            if !passed {
+                parked.push(me.clone());
+            }
+            passed
+        };
+        if !passed {
+            std::thread::park_timeout(timeout);
+            self.parked
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .retain(|t| t.id() != me.id());
+        }
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        self.lsn.load(Ordering::SeqCst) > past_lsn
+    }
+}
+
 /// The one mapping between live index kinds and the kinds the log and
 /// checkpoints name.
 const INDEX_KINDS: [(IndexKind, IndexKindDef); 3] = [
@@ -508,6 +569,8 @@ pub struct Engine {
     /// Background group-commit flusher, present when a WAL with
     /// `FlushPolicy::GroupCommit` is attached.
     flusher: Option<GroupCommitFlusher>,
+    /// Wakes [`Engine::wait_for_log`] callers as commits land.
+    log_signal: LogSignal,
 }
 
 impl Engine {
@@ -545,6 +608,7 @@ impl Engine {
             metrics,
             trace: Arc::new(TraceRing::new(toposem_obs::trace::DEFAULT_TRACE_CAP)),
             flusher: None,
+            log_signal: LogSignal::default(),
         }
     }
 
@@ -553,6 +617,7 @@ impl Engine {
     fn attach_wal(&mut self, mut wal: Wal) {
         wal.set_metrics(Arc::clone(&self.metrics.wal));
         let group_commit = matches!(wal.flush_policy(), FlushPolicy::GroupCommit { .. });
+        self.log_signal.publish(wal.next_lsn());
         self.inner.write().wal = Some(wal);
         if group_commit {
             self.flusher = Some(GroupCommitFlusher::spawn(Arc::clone(&self.inner)));
@@ -858,6 +923,39 @@ impl Engine {
         self.inner.read().wal.is_some()
     }
 
+    /// Blocks until a `Commit` or DDL record takes the log past
+    /// `past_lsn` — its `next_lsn` after that record exceeds `past_lsn` —
+    /// and returns true, or returns false once `timeout` elapses. Writers
+    /// wake waiters after releasing the engine lock, so a replication
+    /// shipper ships a commit as it lands rather than on its next poll.
+    /// The wait also ends early when anything unparks the calling thread
+    /// (that is how a stopping shipper interrupts it), so callers
+    /// re-check what they wait for. An engine without a log publishes
+    /// nothing: the call sleeps out `timeout`.
+    pub fn wait_for_log(&self, past_lsn: u64, timeout: Duration) -> bool {
+        self.log_signal.wait(past_lsn, timeout)
+    }
+
+    /// Ends a write that holds `inner`. When `committed` (the write
+    /// appended a `Commit` or DDL record, if a log is attached) the log's
+    /// new `next_lsn` becomes the [`Engine::wait_for_log`] watermark.
+    /// Then the lock is released, and the group-commit flusher (if the
+    /// commit opened a flush window) and any log waiters are woken.
+    fn finish_write(&self, inner: RwLockWriteGuard<'_, Inner>, committed: bool) {
+        let lsn = inner.wal.as_ref().filter(|_| committed).map(Wal::next_lsn);
+        let kick = lsn.is_some() && inner.opened_flush_window();
+        if let Some(lsn) = lsn {
+            self.log_signal.publish(lsn);
+        }
+        drop(inner);
+        if kick {
+            self.kick_flusher();
+        }
+        if lsn.is_some() {
+            self.log_signal.notify();
+        }
+    }
+
     /// Forces every appended log record to disk — drains any pending
     /// group-commit window. Errors on a volatile engine.
     pub fn sync(&self) -> Result<(), EngineError> {
@@ -917,12 +1015,15 @@ impl Engine {
             return Err(EngineError::ReadOnly);
         }
         Self::declare_fd_locked(&mut inner, fd)?;
-        let inner = &mut *inner;
-        if let Some(wal) = inner.wal.as_mut() {
-            let (lhs, rhs, context) = fd_names(inner.db.schema(), &fd);
-            wal.append(WalEntry::DeclareFd { lhs, rhs, context })?;
-            wal.flush()?;
+        {
+            let inner = &mut *inner;
+            if let Some(wal) = inner.wal.as_mut() {
+                let (lhs, rhs, context) = fd_names(inner.db.schema(), &fd);
+                wal.append(WalEntry::DeclareFd { lhs, rhs, context })?;
+                wal.flush()?;
+            }
         }
+        self.finish_write(inner, true);
         Ok(())
     }
 
@@ -978,7 +1079,9 @@ impl Engine {
         if inner.read_only {
             return Err(EngineError::ReadOnly);
         }
-        Self::create_index_locked(&mut inner, &self.metrics, e, kind, attrs)
+        Self::create_index_locked(&mut inner, &self.metrics, e, kind, attrs)?;
+        self.finish_write(inner, true);
+        Ok(())
     }
 
     /// The lock-held body of [`Engine::create_index_of`], shared with
@@ -1058,7 +1161,9 @@ impl Engine {
         if inner.read_only {
             return Err(EngineError::ReadOnly);
         }
-        Self::drop_index_locked(&mut inner, &self.metrics, e, kind, attrs)
+        let dropped = Self::drop_index_locked(&mut inner, &self.metrics, e, kind, attrs)?;
+        self.finish_write(inner, dropped);
+        Ok(dropped)
     }
 
     /// The lock-held body of [`Engine::drop_index`], shared with log
@@ -1178,11 +1283,8 @@ impl Engine {
             Self::log_op(&mut inner, &self.metrics, LogKind::Insert, op)?;
         }
         inner.note_mutation(&self.metrics);
-        let kick = inner.opened_flush_window();
-        drop(inner);
-        if kick {
-            self.kick_flusher();
-        }
+        let autocommit = inner.txn_log.is_none();
+        self.finish_write(inner, autocommit);
         Ok(true)
     }
 
@@ -1209,11 +1311,8 @@ impl Engine {
             }
             inner.note_mutation(&self.metrics);
         }
-        let kick = removed > 0 && inner.opened_flush_window();
-        drop(inner);
-        if kick {
-            self.kick_flusher();
-        }
+        let autocommit = removed > 0 && inner.txn_log.is_none();
+        self.finish_write(inner, autocommit);
         Ok(removed)
     }
 
@@ -1294,11 +1393,7 @@ impl Engine {
         // request materialises them, and the pre-transaction epoch goes
         // (freed here, on the writer's clock, unless a reader holds it).
         inner.retire_snapshot();
-        let kick = inner.opened_flush_window();
-        drop(inner);
-        if kick {
-            self.kick_flusher();
-        }
+        self.finish_write(inner, true);
         self.metrics.txn_commits.inc();
         if commit_ns > 0 {
             // Attribute the commit phase back to the transaction's

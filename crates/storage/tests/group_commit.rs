@@ -8,6 +8,9 @@
 //! stayed unsynced indefinitely. The engine now runs a dedicated
 //! flusher thread that watches `Wal::pending_flush_deadline` and fsyncs
 //! at the deadline.
+//!
+//! The converse holds too: a log with nothing appended since its last
+//! fsync is not fsynced again, however often it is synced.
 
 use std::fs;
 use std::path::PathBuf;
@@ -31,13 +34,20 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn group_commit_engine(dir: &PathBuf, max_wait: Duration) -> Engine {
-    let cfg = WalConfig {
-        flush: FlushPolicy::GroupCommit {
+    durable_engine(
+        dir,
+        FlushPolicy::GroupCommit {
             // Far larger than the test's commit count: only the
             // max_wait deadline can trigger the flush.
             max_batch: 1024,
             max_wait,
         },
+    )
+}
+
+fn durable_engine(dir: &PathBuf, flush: FlushPolicy) -> Engine {
+    let cfg = WalConfig {
+        flush,
         segment_bytes: 1 << 20,
     };
     let db = Database::new(
@@ -116,6 +126,41 @@ fn explicit_transaction_commit_is_fsynced_without_successor() {
     eng.commit().unwrap();
 
     wait_for_flush(&eng, flushes_before, max_wait * 8);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_idle_log_is_not_fsynced_again() {
+    let dir = temp_dir("idle");
+    let eng = durable_engine(&dir, FlushPolicy::NoSync);
+    let person = eng.with_db(|db| db.schema().type_id("person").unwrap());
+    eng.insert(
+        person,
+        &[("name", Value::str("first")), ("age", Value::Int(1))],
+    )
+    .unwrap();
+    let flushes = || eng.metrics().wal.flushes.get();
+    let before = flushes();
+    eng.sync().unwrap();
+    eng.sync().unwrap();
+    assert_eq!(
+        flushes(),
+        before + 1,
+        "the second sync had nothing to write"
+    );
+    let snap = eng.metrics_snapshot();
+    assert_eq!(snap.wal.fsync_ns.count, snap.wal.flushes);
+
+    // A commit after the skipped flush still reaches the file with the
+    // next sync: recovery (read-only, beside the live engine) sees it.
+    eng.insert(
+        person,
+        &[("name", Value::str("second")), ("age", Value::Int(2))],
+    )
+    .unwrap();
+    eng.sync().unwrap();
+    assert_eq!(flushes(), before + 2);
+    assert_eq!(Engine::recover(&dir).unwrap().extension(person).len(), 2);
     let _ = fs::remove_dir_all(&dir);
 }
 

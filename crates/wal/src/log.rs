@@ -346,6 +346,9 @@ pub struct Wal {
     next_txn: u64,
     pending_commits: usize,
     oldest_pending: Option<Instant>,
+    /// Whether a record was appended since the last successful fsync;
+    /// [`Wal::flush`] of a clean log costs nothing.
+    unsynced: bool,
     metrics: Arc<WalMetrics>,
     /// The frame being appended; its buffer is reused across appends.
     frame: Vec<u8>,
@@ -373,6 +376,7 @@ impl Wal {
             next_txn: 0,
             pending_commits: 0,
             oldest_pending: None,
+            unsynced: false,
             metrics: Arc::new(WalMetrics::default()),
             frame: Vec::new(),
         })
@@ -415,6 +419,7 @@ impl Wal {
                 next_txn: tail.next_txn,
                 pending_commits: 0,
                 oldest_pending: None,
+                unsynced: false,
                 metrics: Arc::new(WalMetrics::default()),
                 frame: Vec::new(),
             },
@@ -478,6 +483,8 @@ impl Wal {
         let lsn = self.next_lsn;
         self.frame.clear();
         encode_record_into(&WalRecord { lsn, entry }, &mut self.frame)?;
+        // Set first: a failed write may still leave bytes buffered.
+        self.unsynced = true;
         self.writer.write_all(&self.frame)?;
         self.next_lsn += 1;
         self.seg_len += self.frame.len() as u64;
@@ -559,11 +566,17 @@ impl Wal {
 
     /// Flushes buffered records and fsyncs the segment, making every
     /// appended record durable regardless of policy. Records the batch
-    /// size when pending group commits are drained.
+    /// size when pending group commits are drained. A log with nothing
+    /// appended since its last fsync is already durable: the call
+    /// returns at once and counts no flush.
     pub fn flush(&mut self) -> Result<(), WalError> {
+        if !self.unsynced {
+            return Ok(());
+        }
         let t0 = Instant::now();
         self.writer.flush()?;
         self.writer.get_ref().sync_data()?;
+        self.unsynced = false;
         self.metrics.flushes.inc();
         self.metrics.fsync_ns.record(t0.elapsed().as_nanos() as u64);
         if self.pending_commits > 0 {
