@@ -1,13 +1,12 @@
 //! C1: concurrent snapshot readers scaling against an active writer.
 //!
 //! The workload models the server's session mix: reader "clients" run
-//! an employee ⋈ department join through the MVCC snapshot path
-//! ([`SnapshotExecution::query_snapshot_with`]) while a writer thread
-//! keeps committing small transactions the whole time, churning the
-//! committed-state snapshot under them. Each query executes serially
-//! (`ExecOptions::serial()`) so the measured scaling is *session
-//! concurrency* — snapshot reads never taking the engine write lock —
-//! not morsel parallelism inside one query.
+//! an employee ⋈ department join through the MVCC snapshot path (a
+//! [`PinnedSnapshot`] target) while a writer thread keeps committing
+//! small transactions the whole time, churning the committed-state
+//! snapshot under them. Each query runs on its reader's own thread, so
+//! the measured scaling is *session concurrency* — snapshot reads never
+//! taking the engine write lock.
 //!
 //! The headline claim (the PR's acceptance bar): a fixed budget of
 //! reads completes ≥2× faster on 4 reader threads than on 1, with the
@@ -22,7 +21,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
-use toposem_planner::{ExecOptions, SnapshotExecution};
+use toposem_planner::{PinnedSnapshot, QueryRequest, QueryTarget};
 use toposem_storage::{Engine, Query};
 
 /// Employee rows the readers join over; the writer's inserts land in
@@ -86,18 +85,17 @@ fn loaded_engine() -> Arc<Engine> {
 /// Runs the fixed read budget on `threads` readers, each capturing a
 /// fresh committed snapshot per query (the autocommit session pattern).
 /// Returns the total row count so the work cannot be optimised away.
-fn run_readers(eng: &Arc<Engine>, q: &Query, threads: usize) -> usize {
+fn run_readers(eng: &Arc<Engine>, q: &QueryRequest, threads: usize) -> usize {
     let per = total_reads() / threads;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
-                    let serial = ExecOptions::serial();
                     let mut rows = 0usize;
                     for _ in 0..per {
-                        let snap = eng.snapshot().expect("committed snapshot was primed");
-                        let (_, rel) = eng.query_snapshot_with(&snap, q, &serial).unwrap();
-                        rows += rel.len();
+                        let snap =
+                            PinnedSnapshot::capture(eng).expect("committed snapshot was primed");
+                        rows += snap.run(q).unwrap().rows.len();
                     }
                     rows
                 })
@@ -109,7 +107,7 @@ fn run_readers(eng: &Arc<Engine>, q: &Query, threads: usize) -> usize {
 
 /// Median wall time of `runs` executions of the read budget on
 /// `threads` readers, with a writer committing throughout.
-fn measure(eng: &Arc<Engine>, q: &Query, threads: usize, runs: usize) -> f64 {
+fn measure(eng: &Arc<Engine>, q: &QueryRequest, threads: usize, runs: usize) -> f64 {
     let person = eng.with_db(|db| db.schema().type_id("person").unwrap());
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -162,16 +160,15 @@ fn bench(c: &mut Criterion) {
             s.type_id("department").unwrap(),
         )
     });
-    let scan = Query::scan(employee);
-    let q = Query::scan(employee).join(Query::scan(department));
+    let scan = QueryRequest::new(Query::scan(employee));
+    let q = QueryRequest::new(Query::scan(employee).join(Query::scan(department)));
 
     // Correctness before numbers: on one snapshot the join covers the
     // scan exactly (every employee's department exists), and a primed
     // snapshot means readers never need the engine lock later.
-    let serial = ExecOptions::serial();
-    let snap = eng.snapshot().expect("no txn active");
-    let (_, emp) = eng.query_snapshot_with(&snap, &scan, &serial).unwrap();
-    let (_, joined) = eng.query_snapshot_with(&snap, &q, &serial).unwrap();
+    let snap = PinnedSnapshot::capture(&eng).expect("no txn active");
+    let emp = snap.run(&scan).unwrap().rows;
+    let joined = snap.run(&q).unwrap().rows;
     assert_eq!(emp.len() as i64, n());
     assert_eq!(
         joined.len(),

@@ -104,7 +104,7 @@ fn bench(c: &mut Criterion) {
             .map(|q| plan(&lower_and_rewrite(q, db).unwrap(), db, indexes, &stats))
             .collect()
     });
-    let opts = ExecOptions::serial();
+    let opts = ExecOptions::default();
 
     // Bit-identity: profiling observes, never perturbs.
     eng.with_parts(|db, indexes| {

@@ -2,10 +2,9 @@
 //!
 //! A zipfian-ish age distribution (99% of tuples in a dense band, 1%
 //! in a long sparse tail) defeats min/max interpolation: the tail
-//! range `age ≥ 1000` looks like ~the whole table, so under parallel
-//! execution the planner statically mispicks a morsel-parallel
-//! `SeqScan` over the `IndexRangeSeek` that actually touches 100×
-//! fewer tuples. One profiled execution trains the selectivity-
+//! range `age ≥ 1000` looks like ~the whole table, so the planner
+//! statically mispicks a `SeqScan` over the `IndexRangeSeek` that
+//! actually touches 100× fewer tuples. One profiled execution trains the selectivity-
 //! feedback cache, the correction crosses the re-plan threshold, and
 //! the next plan flips to the range seek — this bench pins that the
 //! corrected plan is ≥2× faster than the static one, that q-error
@@ -144,12 +143,6 @@ fn bench(c: &mut Criterion) {
     // interpolation for the whole process: the mispick it corrects must
     // exist to be corrected.
     toposem_storage::set_histograms_enabled(false);
-    // Fixed parallelism so the static mispick (morsel-parallel SeqScan
-    // beating a serial-priced IndexRangeSeek) is reproducible. Resolved
-    // once per process via ExecOptions::default's OnceLock — set before
-    // the first planned execution.
-    std::env::set_var("TOPOSEM_THREADS", "4");
-    std::env::set_var("TOPOSEM_MORSEL_SIZE", "512");
 
     let eng = skewed_engine(n());
     let (employee, age) = eng.with_db(|db| {
@@ -165,16 +158,10 @@ fn bench(c: &mut Criterion) {
     let static_plan: Physical = eng
         .with_parts(|db, indexes| plan(&lower_and_rewrite(&q, db).unwrap(), db, indexes, &stats0));
     let static_desc = format!("{static_plan:?}");
-    // Under parallel pricing the scan's morsel discount undercuts the
-    // (serially priced) range seek; without the parallel feature the
-    // seek already wins statically and only the estimate is wrong.
-    let mispicked = static_desc.contains("SeqScan");
-    if cfg!(feature = "parallel") {
-        assert!(
-            mispicked,
-            "static interpolation must mispick the parallel scan:\n{static_desc}"
-        );
-    }
+    assert!(
+        static_desc.contains("SeqScan"),
+        "static interpolation must mispick the scan:\n{static_desc}"
+    );
 
     // One profiled execution trains the loop.
     let (_, rel, qp1) = eng.query_profiled(&q).unwrap();
@@ -234,13 +221,11 @@ fn bench(c: &mut Criterion) {
         static_t * 1e3 / iters as f64,
         corrected_t * 1e3 / iters as f64,
     );
-    if mispicked {
-        assert!(
-            speedup >= 2.0,
-            "feedback-corrected plan must be ≥2× faster than the static mispick, \
-             measured {speedup:.2}×"
-        );
-    }
+    assert!(
+        speedup >= 2.0,
+        "feedback-corrected plan must be ≥2× faster than the static mispick, \
+         measured {speedup:.2}×"
+    );
 
     // Overhead guard: recording observations every execution must stay
     // within 5% of a feedback-disabled engine on a uniform workload.
@@ -294,7 +279,7 @@ fn bench(c: &mut Criterion) {
         "the enabled engine actually recorded observations"
     );
 
-    let mut samples_out = vec![
+    let samples_out = [
         toposem_bench::BenchSample::from_secs(
             "planned_feedback_off",
             iters as u64,
@@ -305,22 +290,13 @@ fn bench(c: &mut Criterion) {
             iters as u64,
             on_t / iters as f64,
         ),
-    ];
-    // The mispick (and so the speedup ratio) only exists under parallel
-    // pricing; serial runs omit the samples rather than emit a pair the
-    // regression tracker would misread.
-    if mispicked {
-        samples_out.push(toposem_bench::BenchSample::from_secs(
-            "static_plan",
-            iters as u64,
-            static_t / iters as f64,
-        ));
-        samples_out.push(toposem_bench::BenchSample::from_secs(
+        toposem_bench::BenchSample::from_secs("static_plan", iters as u64, static_t / iters as f64),
+        toposem_bench::BenchSample::from_secs(
             "corrected_plan",
             iters as u64,
             corrected_t / iters as f64,
-        ));
-    }
+        ),
+    ];
     toposem_bench::emit_bench_json("q5_adaptive", &samples_out);
 
     let mut g = c.benchmark_group("q5_adaptive");

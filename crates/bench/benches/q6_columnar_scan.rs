@@ -5,8 +5,8 @@
 //! a three-predicate conjunction whose first two predicates pass every
 //! row (so the row path cannot short-circuit early) and whose last
 //! keeps 1%. The plan is pinned to a literal `Physical::SeqScan` —
-//! both legs execute the identical tree under `ExecOptions::serial()`,
-//! differing only in the `columnar` flag, so the measured gap is the
+//! both legs execute the identical tree, differing only in the
+//! `ExecOptions::columnar` flag, so the measured gap is the
 //! kernel dispatch (decoded column vectors + selection bitmaps vs.
 //! tuple-wise `get` + `matches`), not a plan-shape difference.
 //!
@@ -138,14 +138,8 @@ fn bench(c: &mut Criterion) {
             ),
         ],
     };
-    let row = ExecOptions {
-        columnar: false,
-        ..ExecOptions::serial()
-    };
-    let col = ExecOptions {
-        columnar: true,
-        ..ExecOptions::serial()
-    };
+    let row = ExecOptions { columnar: false };
+    let col = ExecOptions { columnar: true };
 
     // Correctness before numbers: identical relations, exactly 1%.
     let row_rel = eng.with_parts(|db, indexes| execute_with(&scan, db, indexes, &row));

@@ -64,33 +64,21 @@ pub(crate) fn json_escape(s: &str) -> String {
         .collect()
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok())
-}
-
 /// Serialises `samples` as `BENCH_<bench>.json` into the directory named
 /// by `TOPOSEM_BENCH_JSON_DIR`, so CI can collect machine-readable
 /// timings next to Criterion's human-oriented output. A no-op when the
-/// variable is unset (local runs stay clean). The report records the
-/// execution knobs in effect — short mode and the `TOPOSEM_THREADS` /
-/// `TOPOSEM_MORSEL_SIZE` overrides (`null` when the default applies) —
-/// so a regression seen in the numbers can be tied to its configuration.
+/// variable is unset (local runs stay clean). The report records whether
+/// short mode was on, so a regression seen in the numbers can be tied
+/// to its input size.
 pub fn emit_bench_json(bench: &str, samples: &[BenchSample]) {
     use std::fmt::Write;
     let Ok(dir) = std::env::var("TOPOSEM_BENCH_JSON_DIR") else {
         return;
     };
-    let opt = |v: Option<u64>| v.map_or("null".to_owned(), |v| v.to_string());
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"bench\": \"{}\",", json_escape(bench));
     let _ = writeln!(out, "  \"short_mode\": {},", short_mode());
-    let _ = writeln!(out, "  \"threads\": {},", opt(env_u64("TOPOSEM_THREADS")));
-    let _ = writeln!(
-        out,
-        "  \"morsel_size\": {},",
-        opt(env_u64("TOPOSEM_MORSEL_SIZE"))
-    );
     let _ = writeln!(out, "  \"samples\": [");
     for (i, s) in samples.iter().enumerate() {
         let comma = if i + 1 < samples.len() { "," } else { "" };
@@ -249,8 +237,8 @@ mod tests {
         );
         assert!(text.contains("\"ns_per_iter\": 4500000.0"));
         assert!(text.contains("\"short_mode\": "));
-        assert!(text.contains("\"threads\": "));
-        assert!(text.contains("\"morsel_size\": "));
+        assert!(!text.contains("\"threads\""));
+        assert!(!text.contains("\"morsel_size\""));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -534,8 +534,6 @@ mod tests {
         let text = r#"{
           "bench": "q5_adaptive",
           "short_mode": true,
-          "threads": 4,
-          "morsel_size": 512,
           "samples": [
             {"name": "static_plan", "iters": 10, "ns_per_iter": 200000.0},
             {"name": "corrected_plan", "iters": 10, "ns_per_iter": 8000.0}

@@ -226,9 +226,8 @@ impl Relation {
 
     /// Splits the relation into *morsels* — contiguous runs of at most
     /// `size` tuples in canonical iteration order. The concatenation of
-    /// all morsels is exactly [`Relation::iter`]; parallel executors hand
-    /// morsels to worker threads and merge per-morsel results back in
-    /// morsel order, so data-parallel evaluation stays deterministic.
+    /// all morsels is exactly [`Relation::iter`], so the columnar scan
+    /// that evaluates morsel by morsel emits rows in canonical order.
     ///
     /// `size` is clamped to at least 1.
     pub fn morsels(&self, size: usize) -> impl Iterator<Item = Vec<&Instance>> {

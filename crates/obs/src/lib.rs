@@ -14,7 +14,7 @@
 //! 2. **[`profile`]** — per-operator execution profiles: the executor
 //!    accumulates rows/time/detail into a [`PlanProfile`] (one
 //!    [`NodeProfile`] of relaxed atomics per physical operator, merged
-//!    per worker so morsel loops never contend on a shared cache line),
+//!    once per operator so batch loops never touch a shared cache line),
 //!    and the planner zips it with its estimates into an [`OpProfile`]
 //!    tree carrying q-error = max(est/act, act/est) per node.
 //! 3. **[`trace`]** — a bounded ring of recent [`QueryTrace`] entries

@@ -4,7 +4,7 @@
 //!
 //! Recording is always-on and near-free: every primitive is a relaxed
 //! atomic operation, so instrumented hot paths (WAL flush, plan-cache
-//! lookup, morsel loops) pay a handful of nanoseconds. Snapshots are
+//! lookup, batch loops) pay a handful of nanoseconds. Snapshots are
 //! lock-free reads; a histogram snapshot derives its total count from
 //! the per-bucket counts it just read, so `count == Σ buckets` holds by
 //! construction and readers never observe a torn histogram.

@@ -2,22 +2,20 @@
 //!
 //! The executor accumulates into a [`PlanProfile`] — one
 //! [`NodeProfile`] of relaxed atomics per physical operator, addressed
-//! by the operator's pre-order index in the plan tree. Workers count
-//! into plain locals and merge with one atomic add per morsel or batch,
-//! so profiling adds no shared-cacheline contention to morsel loops.
+//! by the operator's pre-order index in the plan tree. Operators count
+//! into plain locals and merge with one atomic add per operator, so
+//! profiling stays off the per-row path.
 //!
 //! The planner then zips the raw counters with its cost-model estimates
-//! into an [`OpProfile`] tree: estimated vs actual rows, q-error,
-//! inclusive wall time, and actual parallel degree per node — the data
-//! behind `explain_analyze`.
+//! into an [`OpProfile`] tree: estimated vs actual rows, q-error, and
+//! inclusive wall time per node — the data behind `explain_analyze`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Raw atomic accumulator for one physical operator.
 ///
-/// All fields use relaxed ordering: the executor joins its worker
-/// threads before the profile is read, which provides the necessary
-/// happens-before edge.
+/// All fields use relaxed ordering: a query's execution finishes on its
+/// own thread before the profile is read.
 #[derive(Debug, Default)]
 pub struct NodeProfile {
     /// Rows emitted by this operator (bag semantics, before any final
@@ -32,17 +30,10 @@ pub struct NodeProfile {
     pub wall_ns: AtomicU64,
     /// Times the operator was evaluated.
     pub calls: AtomicU64,
-    /// Maximum worker threads that actually ran this operator.
-    pub workers: AtomicU64,
-    /// Morsels processed (parallel paths only).
-    pub morsels: AtomicU64,
-    /// Hash partitions (parallel hash join) or distinct key buckets
-    /// (serial hash join build).
+    /// Hash-join build partitions (the build is one partition).
     pub partitions: AtomicU64,
-    /// Largest partition / bucket size — the skew numerator.
+    /// Largest partition size — the skew numerator.
     pub max_partition: AtomicU64,
-    /// Sorted runs merged (sort operators; 1 when serial).
-    pub runs: AtomicU64,
     /// Columnar batches evaluated through the vectorised kernels.
     pub vec_batches: AtomicU64,
 }
@@ -68,25 +59,10 @@ impl NodeProfile {
         self.calls.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record the worker count of one evaluation (keeps the max).
-    pub fn note_workers(&self, n: u64) {
-        self.workers.fetch_max(n, Ordering::Relaxed);
-    }
-
-    /// Add processed morsels.
-    pub fn add_morsels(&self, n: u64) {
-        self.morsels.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Record partition shape (count and largest).
     pub fn note_partitions(&self, count: u64, max: u64) {
         self.partitions.fetch_max(count, Ordering::Relaxed);
         self.max_partition.fetch_max(max, Ordering::Relaxed);
-    }
-
-    /// Add merged sorted runs.
-    pub fn add_runs(&self, n: u64) {
-        self.runs.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add vectorised (columnar) batches.
@@ -101,11 +77,8 @@ impl NodeProfile {
             rows_in: self.rows_in.load(Ordering::Relaxed),
             wall_ns: self.wall_ns.load(Ordering::Relaxed),
             calls: self.calls.load(Ordering::Relaxed),
-            workers: self.workers.load(Ordering::Relaxed),
-            morsels: self.morsels.load(Ordering::Relaxed),
             partitions: self.partitions.load(Ordering::Relaxed),
             max_partition: self.max_partition.load(Ordering::Relaxed),
-            runs: self.runs.load(Ordering::Relaxed),
             vec_batches: self.vec_batches.load(Ordering::Relaxed),
         }
     }
@@ -122,16 +95,10 @@ pub struct NodeSnapshot {
     pub wall_ns: u64,
     /// Evaluations.
     pub calls: u64,
-    /// Max actual workers.
-    pub workers: u64,
-    /// Morsels processed.
-    pub morsels: u64,
     /// Partitions / buckets.
     pub partitions: u64,
     /// Largest partition.
     pub max_partition: u64,
-    /// Sorted runs.
-    pub runs: u64,
     /// Columnar batches evaluated.
     pub vec_batches: u64,
 }
@@ -184,8 +151,8 @@ pub struct OpProfile {
     pub corr: f64,
     /// Observed execution counters.
     pub stats: NodeSnapshot,
-    /// Operator-specific detail (`build`, `probe`, `skew`, `runs`,
-    /// `scanned`, `morsels`, …), rendered in order.
+    /// Operator-specific detail (`build`, `probe`, `partitions`,
+    /// `scanned`, `vec`, …), rendered in order.
     pub detail: Vec<(&'static str, String)>,
     /// Child operators, in the same order `explain` renders them.
     pub children: Vec<OpProfile>,
@@ -197,11 +164,6 @@ impl OpProfile {
     /// cleanly.
     pub fn q_error(&self) -> f64 {
         q_error(self.est_rows, self.stats.rows)
-    }
-
-    /// Actual parallel degree: observed workers, floored at 1.
-    pub fn par(&self) -> u64 {
-        self.stats.workers.max(1)
     }
 
     /// Render this subtree annotated with actuals, one operator per
@@ -225,12 +187,11 @@ impl OpProfile {
         };
         let _ = write!(
             out,
-            "{pad}{}  (est≈{est}, act={}, q={:.2}, {}, par≈{})",
+            "{pad}{}  (est≈{est}, act={}, q={:.2}, {})",
             self.label,
             self.stats.rows,
             self.q_error(),
             fmt_ns(self.stats.wall_ns),
-            self.par(),
         );
         if !self.detail.is_empty() {
             let _ = write!(out, " [");
@@ -339,7 +300,6 @@ mod tests {
             stats: NodeSnapshot {
                 rows: 100,
                 wall_ns: 1_500,
-                workers: 4,
                 ..NodeSnapshot::default()
             },
             detail: vec![("scanned", "100".into())],
@@ -357,7 +317,8 @@ mod tests {
         assert!(text.contains("est≈100.0"));
         assert!(text.contains("act=100"));
         assert!(text.contains("q=1.00"));
-        assert!(text.contains("par≈4"));
+        assert!(text.contains("1.5µs)"), "{text}");
+        assert!(!text.contains("par≈"), "{text}");
         assert!(text.contains("[scanned=100]"));
         assert!(text.starts_with("SeqScan person"));
         assert!(text.contains("\n  child"));

@@ -4,19 +4,9 @@
 //! Costs are abstract "tuple touches". The estimates only need to *rank*
 //! alternatives correctly (index seek vs. range seek vs. sequential scan,
 //! build side vs. probe side), not predict wall-clock time.
-//!
-//! With the `parallel` feature, partitionable operators — sequential
-//! scans, fused filter/project pipelines, hash-join build and probe,
-//! sort run generation, intersect probes — earn a *parallelism
-//! discount*: their per-tuple work is divided by the degree the morsel
-//! dispatcher would actually use, `min(threads, ⌈rows / morsel_size⌉)`
-//! (see [`parallel_degree`]). Serial sections (merge-join loops, the
-//! multi-way merge behind `Sort`) keep their full price, so the model
-//! reflects Amdahl-style limits instead of assuming perfect scaling.
 
 use toposem_storage::{Predicate, Statistics};
 
-use crate::exec::ExecOptions;
 use crate::physical::Physical;
 
 use toposem_core::{AttrId, TypeId};
@@ -52,50 +42,8 @@ fn conj_selectivity(ty: TypeId, preds: &[(AttrId, Predicate)], stats: &Statistic
         .product()
 }
 
-/// The degree of parallelism the morsel dispatcher would use for a
-/// partitionable section over `rows` input tuples: the worker pool is
-/// clamped by the morsel count, and without the `parallel` feature
-/// everything runs serial. Always ≥ 1.
-fn degree(rows: f64, opts: &ExecOptions) -> f64 {
-    let threads = opts.effective_threads();
-    if threads <= 1 {
-        return 1.0;
-    }
-    let morsels = (rows / opts.morsel_size.max(1) as f64).ceil();
-    morsels.clamp(1.0, threads as f64)
-}
-
-/// The parallel degree `explain` reports for an operator: the degree of
-/// its partitionable section under `opts` (1 when the operator has no
-/// partitionable section, the input is too small to split, or the
-/// `parallel` feature is off).
-pub fn parallel_degree(plan: &Physical, stats: &Statistics, opts: &ExecOptions) -> usize {
-    let input_rows = |p: &Physical| estimate_with(p, stats, opts).rows;
-    let d = match plan {
-        Physical::SeqScan { ty, .. } => degree(stats.cardinality(*ty) as f64, opts),
-        Physical::Filter { input, .. } | Physical::Project { input, .. } => {
-            degree(input_rows(input), opts)
-        }
-        Physical::HashJoin { build, probe, .. } => {
-            degree(input_rows(build).max(input_rows(probe)), opts)
-        }
-        Physical::Sort { input, .. } => degree(input_rows(input), opts),
-        Physical::Intersect { probe, .. } => degree(input_rows(probe), opts),
-        _ => 1.0,
-    };
-    d as usize
-}
-
-/// Estimates a physical subplan bottom-up under the default
-/// [`ExecOptions`] (which carry the process-wide thread/morsel knobs, so
-/// planning and `explain` price the parallelism execution will use).
+/// Estimates a physical subplan bottom-up.
 pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
-    estimate_with(plan, stats, &ExecOptions::default())
-}
-
-/// [`estimate`] with explicit [`ExecOptions`] — the parallelism discount
-/// follows the supplied thread/morsel knobs.
-pub fn estimate_with(plan: &Physical, stats: &Statistics, opts: &ExecOptions) -> Estimate {
     match plan {
         Physical::Empty { .. } => Estimate {
             rows: 0.0,
@@ -105,8 +53,7 @@ pub fn estimate_with(plan: &Physical, stats: &Statistics, opts: &ExecOptions) ->
             let n = stats.cardinality(*ty) as f64;
             Estimate {
                 rows: n * conj_selectivity(*ty, preds, stats),
-                // Morsel-parallel: workers scan disjoint morsels.
-                cost: OPERATOR_SETUP_COST + n / degree(n, opts),
+                cost: OPERATOR_SETUP_COST + n,
             }
         }
         Physical::IndexSeek {
@@ -190,21 +137,20 @@ pub fn estimate_with(plan: &Physical, stats: &Statistics, opts: &ExecOptions) ->
             }
         }
         Physical::Filter { input, preds } => {
-            let e = estimate_with(input, stats, opts);
+            let e = estimate(input, stats);
             let ty = input.ty();
             Estimate {
                 rows: e.rows * conj_selectivity(ty, preds, stats),
-                // Fused onto its source's morsels under parallelism.
-                cost: e.cost + e.rows / degree(e.rows, opts),
+                cost: e.cost + e.rows,
             }
         }
         Physical::Project { input, .. } => {
-            let e = estimate_with(input, stats, opts);
+            let e = estimate(input, stats);
             Estimate {
                 // Projection onto a generalisation can collapse duplicates;
                 // without correlation knowledge keep the input estimate.
                 rows: e.rows,
-                cost: e.cost + e.rows / degree(e.rows, opts),
+                cost: e.cost + e.rows,
             }
         }
         Physical::HashJoin {
@@ -213,17 +159,12 @@ pub fn estimate_with(plan: &Physical, stats: &Statistics, opts: &ExecOptions) ->
             keys,
             ty,
         } => {
-            let b = estimate_with(build, stats, opts);
-            let p = estimate_with(probe, stats, opts);
+            let b = estimate(build, stats);
+            let p = estimate(probe, stats);
             let rows = stats.join_cardinality(*ty, build.ty(), b.rows, probe.ty(), p.rows, keys);
-            // The build is partitioned in parallel; probes and output
-            // merges run morsel-parallel over the probe side.
             Estimate {
                 rows,
-                cost: b.cost
-                    + p.cost
-                    + b.rows / degree(b.rows, opts)
-                    + (HASH_PROBE_COST * p.rows + rows) / degree(p.rows, opts),
+                cost: b.cost + p.cost + b.rows + (HASH_PROBE_COST * p.rows + rows),
             }
         }
         Physical::MergeJoin {
@@ -232,46 +173,39 @@ pub fn estimate_with(plan: &Physical, stats: &Statistics, opts: &ExecOptions) ->
             keys,
             ty,
         } => {
-            let l = estimate_with(left, stats, opts);
-            let r = estimate_with(right, stats, opts);
+            let l = estimate(left, stats);
+            let r = estimate(right, stats);
             let rows = stats.join_cardinality(*ty, left.ty(), l.rows, right.ty(), r.rows, keys);
             // Both inputs arrive sorted, so the merge touches each input
-            // tuple once — no hash build, no per-probe overhead. The
-            // merge loop itself is inherently serial: no discount.
+            // tuple once — no hash build, no per-probe overhead.
             Estimate {
                 rows,
                 cost: l.cost + r.cost + l.rows + r.rows + rows,
             }
         }
         Physical::Sort { input, .. } => {
-            let e = estimate_with(input, stats, opts);
-            // Comparison sort over the materialised input: run generation
-            // parallelises, the final multi-way merge (one extra touch
-            // per tuple) is serial and only exists when runs split.
+            let e = estimate(input, stats);
+            // Comparison sort over the materialised input.
             let n = e.rows.max(2.0);
-            let d = degree(e.rows, opts);
-            let merge = if d > 1.0 { e.rows } else { 0.0 };
             Estimate {
                 rows: e.rows,
-                cost: e.cost + e.rows * n.log2() / d + merge,
+                cost: e.cost + e.rows * n.log2(),
             }
         }
         Physical::Union { left, right, .. } => {
-            let l = estimate_with(left, stats, opts);
-            let r = estimate_with(right, stats, opts);
+            let l = estimate(left, stats);
+            let r = estimate(right, stats);
             Estimate {
                 rows: l.rows + r.rows,
                 cost: l.cost + r.cost + l.rows + r.rows,
             }
         }
         Physical::Intersect { build, probe, .. } => {
-            let b = estimate_with(build, stats, opts);
-            let p = estimate_with(probe, stats, opts);
-            // Membership sets build per-morsel in parallel but merge
-            // serially; the probe pass is morsel-parallel.
+            let b = estimate(build, stats);
+            let p = estimate(probe, stats);
             Estimate {
                 rows: b.rows.min(p.rows),
-                cost: b.cost + p.cost + b.rows + HASH_PROBE_COST * p.rows / degree(p.rows, opts),
+                cost: b.cost + p.cost + b.rows + HASH_PROBE_COST * p.rows,
             }
         }
     }

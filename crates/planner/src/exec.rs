@@ -1,40 +1,17 @@
 //! The vectorised executor: a push-based batch pipeline over a consistent
-//! engine snapshot, with an optional morsel-driven parallel mode.
+//! engine snapshot.
 //!
-//! **Serial mode** (always available): every operator streams
-//! [`super::physical::BATCH_SIZE`]-tuple batches into a sink closure; only
-//! hash-join build sides, intersection membership sets, sort/merge-join
-//! inputs, and the final result relation are materialised. Under the eager
-//! containment policy scans borrow the stored relation directly (no
-//! extension clone); on-demand extensions are collected once per scan.
-//! Index seeks walk hash buckets, BTree ranges, or composite key prefixes;
-//! index-only scans rebuild projected tuples from index *keys* without
-//! touching base tuples at all.
+//! Every operator streams [`super::physical::BATCH_SIZE`]-tuple batches
+//! into a sink closure; only hash-join build sides, intersection
+//! membership sets, sort/merge-join inputs, and the final result relation
+//! are materialised. Under the eager containment policy scans borrow the
+//! stored relation directly (no extension clone); on-demand extensions are
+//! collected once per scan. Index seeks walk hash buckets, BTree ranges,
+//! or composite key prefixes; index-only scans rebuild projected tuples
+//! from index *keys* without touching base tuples at all.
 //!
-//! **Parallel mode** (`parallel` feature, [`ExecOptions::threads`] > 1):
-//! input relations are split into fixed-size *morsels*
-//! ([`ExecOptions::morsel_size`] tuples) handed to a scoped worker pool
-//! through a single work-stealing dispatcher ([`dispatch`]); workers pull
-//! the next morsel off a shared atomic counter, so skewed morsels don't
-//! idle the pool. Every pipeline runs data-parallel, not just scans:
-//!
-//! - `SeqScan` with fused `Filter`/`Project` steps: each worker filters
-//!   and projects its morsels in one pass over the stored relation.
-//! - `HashJoin`: the build side is *partitioned* in parallel (workers
-//!   scatter morsels into per-morsel partition buckets, then per-partition
-//!   hash tables are assembled in parallel), and probe morsels run
-//!   against the read-only partitioned table concurrently.
-//! - `Union` / `Intersect` evaluate both inputs concurrently; intersect
-//!   probes filter morsels against the membership set in parallel.
-//! - `Sort` generates sorted runs in parallel (one contiguous run per
-//!   worker) and merges them with a final multi-way merge, which also
-//!   keeps `MergeJoin` inputs ordered.
-//!
-//! **Determinism**: per-worker outputs are keyed by morsel index and
-//! merged back in morsel order, every scatter/gather step preserves
-//! arrival order, and sort ties break toward the earlier run — so a
-//! parallel run produces exactly the serial result (sets *and* ordered
-//! sequences), whatever the thread count or morsel size.
+//! One query runs on one thread. Concurrency comes from sessions: each
+//! connection runs its queries against a lock-free committed snapshot.
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -50,30 +27,13 @@ use toposem_topology::BitSet;
 
 use crate::physical::{Physical, BATCH_SIZE};
 
-/// Default tuples per morsel — also the parallel threshold: a pipeline
-/// source shorter than two morsels runs serially, so small inputs never
-/// pay for thread spawn.
-pub const DEFAULT_MORSEL_SIZE: usize = 4096;
-
-/// Execution knobs for planned queries: the worker-pool ceiling and the
-/// morsel granularity.
+/// Execution knobs for planned queries.
 ///
 /// [`ExecOptions::default`] resolves once per process from the
-/// environment: `TOPOSEM_THREADS` overrides the thread count (otherwise
-/// [`std::thread::available_parallelism`], falling back to 1 when the
-/// syscall errs), `TOPOSEM_MORSEL_SIZE` overrides the morsel size
-/// (otherwise [`DEFAULT_MORSEL_SIZE`]), and `TOPOSEM_COLUMNAR=0` (or
-/// `false`/`off`) disables the columnar kernels. Without the `parallel`
-/// feature the knobs are accepted but execution is always serial.
+/// environment: `TOPOSEM_COLUMNAR=0` (or `false`/`off`) disables the
+/// columnar kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Upper bound on worker threads (≥ 1). The dispatcher additionally
-    /// clamps the pool to the number of morsels, so a short input never
-    /// spawns idle workers.
-    pub threads: usize,
-    /// Tuples per morsel (≥ 1). Smaller morsels increase scheduling
-    /// freedom (and overhead); larger morsels amortise dispatch.
-    pub morsel_size: usize,
     /// Evaluate scans, filters, projections, and hash-join key
     /// extraction through columnar morsel kernels (decoded typed
     /// columns + selection bitmaps) instead of row-at-a-time loops.
@@ -94,57 +54,11 @@ fn columnar_default() -> bool {
     })
 }
 
-impl ExecOptions {
-    /// Serial execution: one worker, default morsel size, columnar
-    /// kernels per the process default.
-    pub fn serial() -> ExecOptions {
-        ExecOptions {
-            threads: 1,
-            morsel_size: DEFAULT_MORSEL_SIZE,
-            columnar: columnar_default(),
-        }
-    }
-
-    /// `threads` workers with the default morsel size.
-    pub fn with_threads(threads: usize) -> ExecOptions {
-        ExecOptions {
-            threads: threads.max(1),
-            ..ExecOptions::serial()
-        }
-    }
-
-    /// The worker count execution will actually use: 1 without the
-    /// `parallel` feature, the configured ceiling otherwise.
-    pub fn effective_threads(&self) -> usize {
-        if cfg!(feature = "parallel") {
-            self.threads.max(1)
-        } else {
-            1
-        }
-    }
-}
-
-fn env_knob(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|n| *n > 0)
-}
-
 impl Default for ExecOptions {
     fn default() -> ExecOptions {
-        static DEFAULTS: std::sync::OnceLock<ExecOptions> = std::sync::OnceLock::new();
-        *DEFAULTS.get_or_init(|| ExecOptions {
-            threads: env_knob("TOPOSEM_THREADS").unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
-            morsel_size: env_knob("TOPOSEM_MORSEL_SIZE").unwrap_or(DEFAULT_MORSEL_SIZE),
+        ExecOptions {
             columnar: columnar_default(),
-        })
+        }
     }
 }
 
@@ -210,8 +124,8 @@ pub fn execute_with(
 /// [`execute_with`] recording per-operator actuals (rows, wall time,
 /// operator detail) into `profile`, which must be sized to
 /// `plan.node_count()`. The result is bit-identical to the unprofiled
-/// path: profiling only adds thread-local tallies merged into the
-/// shared slots with one atomic add per batch/morsel.
+/// path: profiling only adds local tallies merged into the shared slots
+/// with one atomic add per operator.
 pub fn execute_profiled_with(
     plan: &Physical,
     db: &Database,
@@ -229,25 +143,6 @@ fn execute_prof(
     opts: &ExecOptions,
     prof: Prof,
 ) -> Relation {
-    #[cfg(feature = "parallel")]
-    if opts.effective_threads() > 1 {
-        let ctx = Ctx::new(db, indexes, opts);
-        let morsels = eval_parallel(plan, &ctx, prof);
-        // Sort by the full instance order in parallel, then bulk-build
-        // the set from the (deduplicated) sorted sequence — the final
-        // collection scales with the pool instead of serialising on
-        // tree inserts.
-        let sorted = par_sort_morsels(morsels, &ctx, Instance::cmp);
-        let mut out: Vec<Instance> = Vec::new();
-        for m in sorted {
-            for t in m {
-                if out.last() != Some(&t) {
-                    out.push(t);
-                }
-            }
-        }
-        return out.into_iter().collect();
-    }
     let mut out = Relation::new();
     for_each_batch(plan, db, indexes, opts, prof, &mut |batch| {
         for t in batch.drain(..) {
@@ -266,9 +161,7 @@ pub fn execute_ordered(plan: &Physical, db: &Database, indexes: &[Vec<Index>]) -
     execute_ordered_with(plan, db, indexes, &ExecOptions::default())
 }
 
-/// [`execute_ordered`] with explicit [`ExecOptions`]. Parallel workers'
-/// outputs are merged in morsel order, so the arrival order — and with it
-/// the advertised plan ordering — is preserved exactly.
+/// [`execute_ordered`] with explicit [`ExecOptions`].
 pub fn execute_ordered_with(
     plan: &Physical,
     db: &Database,
@@ -311,14 +204,6 @@ fn execute_ordered_prof(
             }
         }
     };
-    #[cfg(feature = "parallel")]
-    if opts.effective_threads() > 1 {
-        let ctx = Ctx::new(db, indexes, opts);
-        for mut m in eval_parallel(plan, &ctx, prof) {
-            append(&mut m);
-        }
-        return out;
-    }
     for_each_batch(plan, db, indexes, opts, prof, &mut append);
     out
 }
@@ -656,22 +541,12 @@ fn key_with_hints(t: &Instance, keys: &[AttrId], hints: &[Option<usize>]) -> Vec
         .collect()
 }
 
-/// Extracts the hash-join key of every row in one batch pass (the
-/// parallel workers consume whole-morsel key vectors).
-#[cfg(any(feature = "parallel", test))]
-fn batch_join_keys(rows: &[Instance], keys: &[AttrId]) -> Vec<Vec<Value>> {
-    let hints = key_hints(rows, keys);
-    rows.iter()
-        .map(|t| key_with_hints(t, keys, &hints))
-        .collect()
-}
-
-/// The columnar serial scan: decodes each morsel's predicate columns
+/// The columnar scan: decodes each morsel's predicate columns
 /// once, evaluates the conjunction as bitmap ANDs, and emits selected
 /// rows in morsel order — the morsel concatenation is canonical
 /// iteration order, so output order and content are bit-identical to
 /// [`stream_filtered`] over the same relation.
-fn scan_columnar_serial(
+fn scan_columnar(
     rel: &Relation,
     preds: &[(AttrId, Predicate)],
     node: Option<&NodeProfile>,
@@ -749,22 +624,21 @@ fn for_each_batch(
     sink: &mut dyn FnMut(&mut Vec<Instance>),
 ) {
     let Some(node) = prof.node() else {
-        return exec_serial(plan, db, indexes, opts, prof, sink);
+        return exec_node(plan, db, indexes, opts, prof, sink);
     };
     let t0 = Instant::now();
     let mut rows = 0u64;
-    exec_serial(plan, db, indexes, opts, prof, &mut |batch| {
+    exec_node(plan, db, indexes, opts, prof, &mut |batch| {
         rows += batch.len() as u64;
         sink(batch);
     });
     node.add_call();
     node.add_rows(rows);
     node.add_wall_ns(t0.elapsed().as_nanos() as u64);
-    node.note_workers(1);
 }
 
-/// The serial operator dispatch behind [`for_each_batch`].
-fn exec_serial(
+/// The operator dispatch behind [`for_each_batch`].
+fn exec_node(
     plan: &Physical,
     db: &Database,
     indexes: &[Vec<Index>],
@@ -779,7 +653,7 @@ fn exec_serial(
             // A predicate-free scan has nothing to vectorise — row
             // streaming avoids the per-morsel mask machinery.
             if opts.columnar && !preds.is_empty() {
-                scan_columnar_serial(&rel, preds, prof.node(), sink);
+                scan_columnar(&rel, preds, prof.node(), sink);
             } else {
                 stream_profiled(rel.iter(), preds, prof.node(), sink);
             }
@@ -1044,9 +918,6 @@ fn exec_serial(
                 prof.child(plan, 0),
                 &mut |batch| rows.append(batch),
             );
-            if let Some(node) = prof.node() {
-                node.add_runs(1);
-            }
             // Stable, so an input order on a longer key list survives as
             // the tie-break.
             rows.sort_by(|a, b| cmp_by_keys(a, b, keys));
@@ -1095,9 +966,9 @@ fn exec_serial(
     }
 }
 
-/// The merge loop shared by the serial and parallel merge-join paths:
-/// both inputs arrive sorted ascending on `keys`; equal-key groups are
-/// matched pairwise and streamed into `sink` batch-wise.
+/// The merge-join loop: both inputs arrive sorted ascending on `keys`;
+/// equal-key groups are matched pairwise and streamed into `sink`
+/// batch-wise.
 fn merge_join_sorted(
     lrows: &[Instance],
     rrows: &[Instance],
@@ -1147,664 +1018,6 @@ fn merge_join_sorted(
         sink(&mut out);
     }
 }
-
-// ---------------------------------------------------------------------
-// Morsel-driven parallel evaluation.
-// ---------------------------------------------------------------------
-
-#[cfg(feature = "parallel")]
-mod parallel {
-    use super::*;
-    use std::hash::{Hash, Hasher};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    /// Shared execution context for one parallel plan evaluation.
-    #[derive(Clone, Copy)]
-    pub(super) struct Ctx<'a> {
-        pub db: &'a Database,
-        pub indexes: &'a [Vec<Index>],
-        pub threads: usize,
-        pub morsel_size: usize,
-        pub columnar: bool,
-    }
-
-    impl<'a> Ctx<'a> {
-        pub fn new(db: &'a Database, indexes: &'a [Vec<Index>], opts: &ExecOptions) -> Ctx<'a> {
-            Ctx {
-                db,
-                indexes,
-                threads: opts.effective_threads(),
-                morsel_size: opts.morsel_size.max(1),
-                columnar: opts.columnar,
-            }
-        }
-
-        /// The serial-path options equivalent to this context (leaf
-        /// operators inside a parallel plan run through the serial
-        /// executor).
-        fn opts(&self) -> ExecOptions {
-            ExecOptions {
-                threads: 1,
-                morsel_size: self.morsel_size,
-                columnar: self.columnar,
-            }
-        }
-    }
-
-    /// The morsel dispatcher: applies `f` to every item of `items` on a
-    /// scoped worker pool and returns the results *in item order*.
-    ///
-    /// Workers pull the next unclaimed index off a shared atomic counter
-    /// (work stealing at morsel granularity), so uneven morsels don't
-    /// leave threads idle. The pool is clamped to `min(threads, #items)`
-    /// and collapses to an inline loop when one worker suffices — callers
-    /// never pay thread spawn for short inputs.
-    pub(super) fn dispatch<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let workers = threads.min(items.len()).max(1);
-        if workers <= 1 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut keyed: Vec<(usize, R)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            local.push((i, f(i, &items[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("morsel worker panicked"))
-                .collect()
-        });
-        keyed.sort_unstable_by_key(|(i, _)| *i);
-        keyed.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// [`dispatch`] over items that are consumed rather than borrowed
-    /// (each is taken exactly once through a mutex-guarded slot).
-    fn dispatch_take<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        dispatch(&slots, threads, |i, slot| {
-            let item = slot
-                .lock()
-                .expect("slot lock poisoned")
-                .take()
-                .expect("each slot is claimed exactly once");
-            f(i, item)
-        })
-    }
-
-    /// One fused pipeline step above a source.
-    enum Step<'p> {
-        Filter(&'p [(AttrId, Predicate)]),
-        Project(toposem_topology::BitSet),
-    }
-
-    /// The columnar worker pass for a fused scan: source predicates and
-    /// fused `Filter` steps evaluate as bitmap kernels over columns
-    /// decoded once per morsel; `Project` steps narrow a cumulative
-    /// attribute target (sequential projections compose by
-    /// intersection) that the final materialisation applies by column
-    /// slicing. A filter on an attribute already projected away drains
-    /// the mask, mirroring the row path's `get() == None` rejection.
-    /// Step tallies land in `counts` exactly as [`push_through`] would
-    /// record them: `counts[i]` = rows surviving steps `0..=i`.
-    fn scan_morsel_columnar(
-        morsel: &[&Instance],
-        preds: &[(AttrId, Predicate)],
-        steps: &[Step],
-        counts: &mut [u64],
-    ) -> (Vec<Instance>, u64) {
-        let cm = ColumnarMorsel::new(morsel);
-        let mut mask = eval_preds_mask(&cm, preds);
-        let scanned_out = mask.count_ones() as u64;
-        let mut target: Option<BitSet> = None;
-        for (i, step) in steps.iter().enumerate() {
-            match step {
-                Step::Filter(preds) => {
-                    for (attr, pred) in preds.iter() {
-                        if !mask.any() {
-                            break;
-                        }
-                        let pm = if target.as_ref().is_some_and(|t| !t.contains(attr.index())) {
-                            SelectionMask::none(cm.len())
-                        } else {
-                            // Columns decode from the *original* rows:
-                            // projection narrows attributes, never
-                            // values, so surviving attrs are unchanged.
-                            pred_mask(&cm, *attr, pred)
-                        };
-                        mask.and_with(&pm);
-                    }
-                }
-                Step::Project(to) => {
-                    target = Some(match target {
-                        None => to.clone(),
-                        Some(t) => t.intersection(to),
-                    });
-                }
-            }
-            if let Some(c) = counts.get_mut(i) {
-                *c += mask.count_ones() as u64;
-            }
-        }
-        let selected: Vec<&Instance> = mask.iter_ones().map(|i| morsel[i]).collect();
-        let res = match &target {
-            None => selected.into_iter().cloned().collect(),
-            Some(t) => project_rows_columnar(&selected, t),
-        };
-        (res, scanned_out)
-    }
-
-    /// Pushes one tuple through the fused steps; `None` when a filter
-    /// rejects it. Clones lazily: a tuple is only materialised at its
-    /// first projection (or at the end, for the output). `counts[i]` is
-    /// bumped when step `i` passes the tuple on — plain per-morsel
-    /// tallies the caller merges into the profile in one atomic add.
-    fn push_through(t: &Instance, steps: &[Step], counts: &mut [u64]) -> Option<Instance> {
-        let mut owned: Option<Instance> = None;
-        for (i, step) in steps.iter().enumerate() {
-            let cur = owned.as_ref().unwrap_or(t);
-            match step {
-                Step::Filter(preds) => {
-                    if !matches(cur, preds) {
-                        return None;
-                    }
-                }
-                Step::Project(target) => owned = Some(cur.project(target)),
-            }
-            if let Some(c) = counts.get_mut(i) {
-                *c += 1;
-            }
-        }
-        Some(owned.unwrap_or_else(|| t.clone()))
-    }
-
-    /// Records a parallel operator's actuals once its morsels exist:
-    /// call count, output rows, inclusive wall time, pool size.
-    fn note_node(prof: Prof, t0: Instant, morsels: &[Vec<Instance>], workers: usize) {
-        if let Some(node) = prof.node() {
-            node.add_call();
-            node.add_rows(morsels.iter().map(|m| m.len() as u64).sum());
-            node.add_wall_ns(t0.elapsed().as_nanos() as u64);
-            node.note_workers(workers as u64);
-        }
-    }
-
-    /// Evaluates `plan` into ordered output morsels, data-parallel where
-    /// the operator allows it. Concatenating the morsels yields exactly
-    /// the serial executor's arrival order.
-    pub(super) fn eval_parallel(plan: &Physical, ctx: &Ctx, prof: Prof) -> Vec<Vec<Instance>> {
-        let t0 = Instant::now();
-        match plan {
-            Physical::Empty { .. } => {
-                if let Some(node) = prof.node() {
-                    node.add_call();
-                }
-                Vec::new()
-            }
-            Physical::SeqScan { .. } | Physical::Filter { .. } | Physical::Project { .. } => {
-                eval_pipeline(plan, ctx, prof)
-            }
-            Physical::HashJoin {
-                build, probe, keys, ..
-            } => {
-                let (bm, pm) =
-                    eval_both(build, probe, ctx, prof.child(plan, 0), prof.child(plan, 1));
-                let table = PartitionedTable::build(bm, keys, ctx);
-                let nmorsels = pm.len();
-                let out = dispatch(&pm, ctx.threads, |_, morsel| {
-                    let mut out = Vec::new();
-                    if ctx.columnar {
-                        // Hash the key columns for the whole morsel
-                        // before touching the table.
-                        let morsel_keys = batch_join_keys(morsel, keys);
-                        for (p, key) in morsel.iter().zip(&morsel_keys) {
-                            for b in table.partners_by_key(key) {
-                                out.push(b.merge(p));
-                            }
-                        }
-                    } else {
-                        for p in morsel {
-                            for b in table.partners(p) {
-                                out.push(b.merge(p));
-                            }
-                        }
-                    }
-                    out
-                });
-                if let Some(node) = prof.node() {
-                    let (nparts, maxp) = table.skew();
-                    node.note_partitions(nparts, maxp);
-                    node.add_morsels(nmorsels as u64);
-                }
-                note_node(prof, t0, &out, ctx.threads.min(nmorsels).max(1));
-                out
-            }
-            Physical::MergeJoin {
-                left, right, keys, ..
-            } => {
-                let (lm, rm) =
-                    eval_both(left, right, ctx, prof.child(plan, 0), prof.child(plan, 1));
-                let lrows: Vec<Instance> = lm.into_iter().flatten().collect();
-                let rrows: Vec<Instance> = rm.into_iter().flatten().collect();
-                let mut out: Vec<Vec<Instance>> = Vec::new();
-                merge_join_sorted(&lrows, &rrows, keys, &mut |batch| {
-                    out.push(std::mem::take(batch));
-                });
-                // The merge loop itself is single-threaded.
-                note_node(prof, t0, &out, 1);
-                out
-            }
-            Physical::Sort { input, keys } => {
-                let morsels = eval_parallel(input, ctx, prof.child(plan, 0));
-                let nmorsels = morsels.len();
-                let out = par_sort_morsels(morsels, ctx, |a, b| cmp_by_keys(a, b, keys));
-                if let Some(node) = prof.node() {
-                    // One contiguous run per worker, as par_sort_morsels
-                    // splits them.
-                    node.add_runs(ctx.threads.min(nmorsels).max(1) as u64);
-                    node.add_morsels(nmorsels as u64);
-                }
-                note_node(prof, t0, &out, ctx.threads.min(nmorsels).max(1));
-                out
-            }
-            Physical::Union { left, right, .. } => {
-                let (mut lm, rm) =
-                    eval_both(left, right, ctx, prof.child(plan, 0), prof.child(plan, 1));
-                lm.extend(rm);
-                note_node(prof, t0, &lm, ctx.threads.clamp(1, 2));
-                lm
-            }
-            Physical::Intersect { build, probe, .. } => {
-                let (bm, pm) =
-                    eval_both(build, probe, ctx, prof.child(plan, 0), prof.child(plan, 1));
-                // One serial pass builds the membership set (a parallel
-                // per-morsel pre-hash would touch every tuple twice for
-                // no gain — the merge is serial either way; the cost
-                // model prices exactly this); the probe filter then
-                // runs morsel-parallel against the read-only set.
-                let members: HashSet<Instance> = bm.into_iter().flatten().collect();
-                let nmorsels = pm.len();
-                let out = dispatch(&pm, ctx.threads, |_, morsel| {
-                    morsel
-                        .iter()
-                        .filter(|t| members.contains(*t))
-                        .cloned()
-                        .collect::<Vec<Instance>>()
-                });
-                if let Some(node) = prof.node() {
-                    node.add_morsels(nmorsels as u64);
-                }
-                note_node(prof, t0, &out, ctx.threads.min(nmorsels).max(1));
-                out
-            }
-            // Index access paths are selective by construction; their
-            // outputs are collected serially (and still feed parallel
-            // consumers above them). The serial path records actuals.
-            leaf => collect_serial(leaf, ctx, prof),
-        }
-    }
-
-    /// Evaluates a binary operator's two inputs concurrently, *splitting*
-    /// the worker budget between the sides (each side parallelises
-    /// internally with half the pool) so nested binary operators cannot
-    /// compound past the configured thread ceiling.
-    fn eval_both(
-        a: &Physical,
-        b: &Physical,
-        ctx: &Ctx,
-        pa: Prof,
-        pb: Prof,
-    ) -> (Vec<Vec<Instance>>, Vec<Vec<Instance>>) {
-        if ctx.threads <= 1 {
-            return (eval_parallel(a, ctx, pa), eval_parallel(b, ctx, pb));
-        }
-        let side_ctx = Ctx {
-            threads: ctx.threads.div_ceil(2),
-            ..*ctx
-        };
-        let sides = [(a, pa), (b, pb)];
-        let mut results = dispatch(&sides, 2, |_, (side, p)| eval_parallel(side, &side_ctx, *p));
-        let rb = results.pop().expect("two sides in, two results out");
-        let ra = results.pop().expect("two sides in, two results out");
-        (ra, rb)
-    }
-
-    /// Evaluates a `Filter`/`Project` chain fused onto its source: the
-    /// steps run inside the same worker pass that scans the source
-    /// morsels, so a filtered-projected scan touches each tuple once.
-    ///
-    /// Profiling counts each fused step's output rows per morsel with a
-    /// plain local array, merged into the shared slots in one atomic add
-    /// per step per morsel. Fused nodes execute in a single worker pass,
-    /// so they share the pipeline's wall time and pool size.
-    fn eval_pipeline(plan: &Physical, ctx: &Ctx, prof: Prof) -> Vec<Vec<Instance>> {
-        let t0 = Instant::now();
-        // Peel the order-preserving tuple-wise steps off the top,
-        // remembering each step's profile slot.
-        let mut steps: Vec<Step> = Vec::new();
-        let mut step_profs: Vec<Prof> = Vec::new();
-        let mut cur = plan;
-        let mut cur_prof = prof;
-        loop {
-            match cur {
-                Physical::Filter { input, preds } => {
-                    steps.push(Step::Filter(preds));
-                    step_profs.push(cur_prof);
-                    cur_prof = cur_prof.child(cur, 0);
-                    cur = input;
-                }
-                Physical::Project { input, to } => {
-                    steps.push(Step::Project(ctx.db.schema().attrs_of(*to).clone()));
-                    step_profs.push(cur_prof);
-                    cur_prof = cur_prof.child(cur, 0);
-                    cur = input;
-                }
-                _ => break,
-            }
-        }
-        steps.reverse();
-        step_profs.reverse();
-        // Merges one morsel's local step tallies into the shared slots.
-        let merge_counts = |counts: &[u64]| {
-            for (p, c) in step_profs.iter().zip(counts) {
-                if let Some(node) = p.node() {
-                    node.add_rows(*c);
-                }
-            }
-        };
-        if let Physical::SeqScan { ty, preds } = cur {
-            // Fused source: scan morsels of the stored relation, filter
-            // and project inside the workers — through the columnar
-            // kernels (decoded columns + selection bitmaps) by default,
-            // row-at-a-time when disabled.
-            let rel = ctx.db.extension_cow(*ty);
-            let morsels: Vec<Vec<&Instance>> = rel.morsels(ctx.morsel_size).collect();
-            let workers = ctx.threads.min(morsels.len()).max(1);
-            let out = dispatch(&morsels, ctx.threads, |_, morsel| {
-                let mut counts = vec![0u64; steps.len()];
-                let (res, scanned_out) = if ctx.columnar {
-                    scan_morsel_columnar(morsel, preds, &steps, &mut counts)
-                } else {
-                    let mut scanned_out = 0u64;
-                    let res: Vec<Instance> = morsel
-                        .iter()
-                        .copied()
-                        .filter(|t| matches(t, preds))
-                        .inspect(|_| scanned_out += 1)
-                        .filter_map(|t| push_through(t, &steps, &mut counts))
-                        .collect();
-                    (res, scanned_out)
-                };
-                if let Some(node) = cur_prof.node() {
-                    node.add_rows_in(morsel.len() as u64);
-                    node.add_rows(scanned_out);
-                    node.add_morsels(1);
-                    if ctx.columnar {
-                        node.add_vec_batches(1);
-                    }
-                }
-                merge_counts(&counts);
-                res
-            });
-            if cur_prof.node().is_some() {
-                let wall = t0.elapsed().as_nanos() as u64;
-                for p in step_profs.iter().chain(std::iter::once(&cur_prof)) {
-                    if let Some(node) = p.node() {
-                        node.add_call();
-                        node.add_wall_ns(wall);
-                        node.note_workers(workers as u64);
-                    }
-                }
-            }
-            return out;
-        }
-        // Composite source (a join, set operation, sort, or index path):
-        // evaluate it, then run the fused steps morsel-parallel.
-        let morsels = eval_parallel(cur, ctx, cur_prof);
-        if steps.is_empty() {
-            return morsels;
-        }
-        let workers = ctx.threads.min(morsels.len()).max(1);
-        let out = dispatch_take(morsels, ctx.threads, |_, morsel| {
-            let mut counts = vec![0u64; steps.len()];
-            let res: Vec<Instance> = morsel
-                .iter()
-                .filter_map(|t| push_through(t, &steps, &mut counts))
-                .collect();
-            merge_counts(&counts);
-            res
-        });
-        if prof.node().is_some() {
-            let wall = t0.elapsed().as_nanos() as u64;
-            for p in &step_profs {
-                if let Some(node) = p.node() {
-                    node.add_call();
-                    node.add_wall_ns(wall);
-                    node.note_workers(workers as u64);
-                }
-            }
-        }
-        out
-    }
-
-    /// Serially collects a leaf operator's output into morsels. The
-    /// serial executor records the leaf's actuals.
-    fn collect_serial(plan: &Physical, ctx: &Ctx, prof: Prof) -> Vec<Vec<Instance>> {
-        let mut out: Vec<Vec<Instance>> = Vec::new();
-        let mut cur: Vec<Instance> = Vec::new();
-        for_each_batch(plan, ctx.db, ctx.indexes, &ctx.opts(), prof, &mut |batch| {
-            for t in batch.drain(..) {
-                cur.push(t);
-                if cur.len() == ctx.morsel_size {
-                    out.push(std::mem::take(&mut cur));
-                }
-            }
-        });
-        if !cur.is_empty() {
-            out.push(cur);
-        }
-        out
-    }
-
-    /// A hash-join build side partitioned for parallel probing. Tuples
-    /// are scattered into `parts` buckets by key hash (phase 1, morsel-
-    /// parallel), then each partition's hash table is assembled
-    /// independently (phase 2, partition-parallel). Bucket contents are
-    /// concatenated in morsel order, so every table entry lists its
-    /// build tuples in exactly the serial executor's arrival order.
-    pub(super) struct PartitionedTable {
-        parts: Vec<HashMap<Vec<Value>, Vec<Instance>>>,
-        keys: Vec<AttrId>,
-    }
-
-    impl PartitionedTable {
-        fn build(morsels: Vec<Vec<Instance>>, keys: &[AttrId], ctx: &Ctx) -> PartitionedTable {
-            let nparts = ctx.threads.max(1);
-            let columnar = ctx.columnar;
-            // Phase 1: scatter each morsel into per-partition buckets —
-            // key columns extracted batch-wise on the columnar path.
-            let scattered = dispatch_take(morsels, ctx.threads, |_, morsel| {
-                let mut buckets: Vec<Vec<(Vec<Value>, Instance)>> = vec![Vec::new(); nparts];
-                if columnar {
-                    let morsel_keys = batch_join_keys(&morsel, keys);
-                    for (t, key) in morsel.into_iter().zip(morsel_keys) {
-                        buckets[partition_of(&key, nparts)].push((key, t));
-                    }
-                } else {
-                    for t in morsel {
-                        let key = join_key(&t, keys);
-                        buckets[partition_of(&key, nparts)].push((key, t));
-                    }
-                }
-                buckets
-            });
-            // Transpose morsel-major buckets to partition-major (pointer
-            // moves only), preserving morsel order within each partition.
-            let mut part_major: Vec<Vec<(Vec<Value>, Instance)>> =
-                (0..nparts).map(|_| Vec::new()).collect();
-            for buckets in scattered {
-                for (p, bucket) in buckets.into_iter().enumerate() {
-                    part_major[p].extend(bucket);
-                }
-            }
-            // Phase 2: assemble one hash table per partition; entries
-            // accumulate build tuples in arrival order.
-            let parts = dispatch_take(part_major, ctx.threads, |_, pairs| {
-                let mut table: HashMap<Vec<Value>, Vec<Instance>> = HashMap::new();
-                for (key, t) in pairs {
-                    table.entry(key).or_default().push(t);
-                }
-                table
-            });
-            PartitionedTable {
-                parts,
-                keys: keys.to_vec(),
-            }
-        }
-
-        fn partners(&self, probe: &Instance) -> &[Instance] {
-            let key = join_key(probe, &self.keys);
-            self.partners_by_key(&key)
-        }
-
-        fn partners_by_key(&self, key: &[Value]) -> &[Instance] {
-            self.parts[partition_of(key, self.parts.len())]
-                .get(key)
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-        }
-
-        /// Partition-skew summary: `(partition count, largest partition's
-        /// build-tuple count)` — the profiled hash join reports these.
-        fn skew(&self) -> (u64, u64) {
-            let largest = self
-                .parts
-                .iter()
-                .map(|p| p.values().map(Vec::len).sum::<usize>())
-                .max()
-                .unwrap_or(0);
-            (self.parts.len() as u64, largest as u64)
-        }
-    }
-
-    /// The natural-join key projection (shared attributes in id order),
-    /// identical to the serial executor's.
-    fn join_key(t: &Instance, keys: &[AttrId]) -> Vec<Value> {
-        keys.iter().filter_map(|a| t.get(*a).cloned()).collect()
-    }
-
-    /// Deterministic partition assignment (`DefaultHasher::new()` is
-    /// fixed-key SipHash, stable within and across processes).
-    fn partition_of(key: &[Value], nparts: usize) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % nparts
-    }
-
-    /// Parallel sort: workers sort contiguous run groups of the input
-    /// morsels (stable within each run), then a serial multi-way merge
-    /// interleaves the runs — ties break toward the earlier run, so the
-    /// result equals a stable sort of the concatenated input. Returns
-    /// output morsels of `ctx.morsel_size`.
-    pub(super) fn par_sort_morsels(
-        morsels: Vec<Vec<Instance>>,
-        ctx: &Ctx,
-        cmp: impl Fn(&Instance, &Instance) -> std::cmp::Ordering + Sync,
-    ) -> Vec<Vec<Instance>> {
-        if morsels.is_empty() {
-            return Vec::new();
-        }
-        // One contiguous run per worker keeps run generation balanced
-        // without disturbing input order.
-        let workers = ctx.threads.min(morsels.len()).max(1);
-        let per_run = morsels.len().div_ceil(workers);
-        let run_groups: Vec<Vec<Vec<Instance>>> = {
-            let mut groups = Vec::new();
-            let mut iter = morsels.into_iter();
-            loop {
-                let group: Vec<Vec<Instance>> = iter.by_ref().take(per_run).collect();
-                if group.is_empty() {
-                    break;
-                }
-                groups.push(group);
-            }
-            groups
-        };
-        let mut runs: Vec<std::collections::VecDeque<Instance>> =
-            dispatch_take(run_groups, ctx.threads, |_, group| {
-                let mut run: Vec<Instance> = group.into_iter().flatten().collect();
-                run.sort_by(&cmp);
-                std::collections::VecDeque::from(run)
-            });
-        if runs.len() == 1 {
-            let run = runs.pop().expect("one run");
-            return chunk(run.into_iter().collect(), ctx.morsel_size);
-        }
-        // Multi-way merge; k = #runs ≤ threads, so a linear min scan per
-        // pop is cheap and keeps the tie-break explicit.
-        let total: usize = runs.iter().map(std::collections::VecDeque::len).sum();
-        let mut merged: Vec<Instance> = Vec::with_capacity(total);
-        loop {
-            let mut best: Option<usize> = None;
-            for (r, run) in runs.iter().enumerate() {
-                let Some(head) = run.front() else { continue };
-                // Strictly-less keeps the earliest run on ties: stability.
-                match best {
-                    None => best = Some(r),
-                    Some(b) => {
-                        let best_head = runs[b].front().expect("best run is non-empty");
-                        if cmp(head, best_head) == std::cmp::Ordering::Less {
-                            best = Some(r);
-                        }
-                    }
-                }
-            }
-            let Some(r) = best else { break };
-            merged.push(runs[r].pop_front().expect("chosen run is non-empty"));
-        }
-        chunk(merged, ctx.morsel_size)
-    }
-
-    fn chunk(rows: Vec<Instance>, size: usize) -> Vec<Vec<Instance>> {
-        let size = size.max(1);
-        let mut out = Vec::new();
-        let mut iter = rows.into_iter();
-        loop {
-            let part: Vec<Instance> = iter.by_ref().take(size).collect();
-            if part.is_empty() {
-                break;
-            }
-            out.push(part);
-        }
-        out
-    }
-}
-
-#[cfg(feature = "parallel")]
-use parallel::{eval_parallel, par_sort_morsels, Ctx};
 
 #[cfg(test)]
 mod tests {
@@ -2012,16 +1225,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_join_keys_matches_tuple_wise_extraction() {
+    fn join_key_hints_match_tuple_wise_extraction() {
         for keys in [
-            vec![AGE, NAME],         // both decode: column path
-            vec![AGE, SPARSE, NAME], // sparse can't: tuple-wise fallback
-            vec![MIXED],             // mixed variants still decode
+            vec![AGE, NAME],         // both hinted positions hold
+            vec![AGE, SPARSE, NAME], // sparse misses: lookup fallback
+            vec![MIXED],             // mixed variants still extract
             Vec::new(),
         ] {
             for n in [0usize, 1, 64, 200] {
                 let rows = make_rows(n);
-                let got = batch_join_keys(&rows, &keys);
+                let hints = key_hints(&rows, &keys);
+                let got: Vec<Vec<Value>> = rows
+                    .iter()
+                    .map(|t| key_with_hints(t, &keys, &hints))
+                    .collect();
                 let expect: Vec<Vec<Value>> = rows
                     .iter()
                     .map(|t| keys.iter().filter_map(|a| t.get(*a).cloned()).collect())
@@ -2032,7 +1249,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_columnar_serial_matches_row_streaming() {
+    fn scan_columnar_matches_row_streaming() {
         use Predicate::*;
         let mut rel = Relation::new();
         for t in make_rows(200) {
@@ -2043,7 +1260,7 @@ mod tests {
             (FLAG, Eq(Value::Bool(true))),
         ];
         let mut columnar = Vec::new();
-        scan_columnar_serial(&rel, &ps, None, &mut |batch| columnar.append(batch));
+        scan_columnar(&rel, &ps, None, &mut |batch| columnar.append(batch));
         let mut rowwise = Vec::new();
         stream_filtered(rel.iter(), &ps, &mut |batch| rowwise.append(batch));
         assert!(!columnar.is_empty(), "fixture must select something");

@@ -29,14 +29,9 @@
 //!    composite-index prefixes + range suffixes, `IndexOnlyScan` over
 //!    covering indexes, `SeqScan`, `Filter`, `Project`, `HashJoin`,
 //!    `MergeJoin` (consuming carried order), `Sort` (enforcing it),
-//!    `Union`, `Intersect` — executed as a push-based batch pipeline;
-//!    the `parallel` feature turns the executor into a morsel-driven
-//!    scheduler: relations split into fixed-size morsels handed to a
-//!    scoped worker pool, with partitioned parallel hash joins, parallel
-//!    set operations, parallel sort-run generation, and fused
-//!    filter/project scan pipelines — merged back in morsel order so
-//!    parallel results are bit-identical to serial ones. Tune with
-//!    [`ExecOptions`] (or `TOPOSEM_THREADS` / `TOPOSEM_MORSEL_SIZE`).
+//!    `Union`, `Intersect` — executed as a push-based batch pipeline,
+//!    one query per thread. Concurrency comes from sessions running
+//!    against lock-free committed snapshots.
 //!
 //! The entry point is the [`QueryTarget`] trait with a [`QueryRequest`]
 //! builder — one pipeline behind every switch (ordering, options,
@@ -116,10 +111,10 @@ use toposem_extension::{Instance, Relation};
 use toposem_obs::{PlanProfile, QueryProfile, QueryTrace};
 use toposem_storage::{Engine, EngineSnapshot, Query, QueryError};
 
-pub use cost::{estimate, estimate_with, parallel_degree, Estimate};
+pub use cost::{estimate, Estimate};
 pub use exec::{
     execute, execute_ordered, execute_ordered_profiled_with, execute_ordered_with,
-    execute_profiled_with, execute_with, plan_supported, ExecOptions, DEFAULT_MORSEL_SIZE,
+    execute_profiled_with, execute_with, plan_supported, ExecOptions,
 };
 pub use logical::{lower_and_rewrite, Logical};
 pub use physical::{
@@ -134,8 +129,8 @@ pub use request::{
 /// Planned execution of sanctioned queries — implemented for
 /// [`Engine`], giving it the `query_planned` entry point.
 ///
-/// **Deprecation note.** This trait (with [`ProfiledExecution`] and
-/// [`SnapshotExecution`]) predates the unified [`QueryRequest`] /
+/// **Deprecation note.** This trait (with [`ProfiledExecution`])
+/// predates the unified [`QueryRequest`] /
 /// [`QueryTarget`] API and survives as a thin shim over it — same plan
 /// cache, same trace, same results. New code should build a
 /// [`QueryRequest`] and call [`QueryTarget::run`]; these methods remain
@@ -167,30 +162,6 @@ pub trait PlannedExecution {
     /// [`PlannedExecution::query_planned`].
     fn query_planned_ordered(&self, q: &Query) -> Result<(TypeId, Vec<Instance>), QueryError>;
 
-    /// [`PlannedExecution::query_planned`] with explicit [`ExecOptions`]
-    /// — the thread-pool ceiling and morsel size for this execution.
-    /// `ExecOptions::serial()` pins a single-threaded run regardless of
-    /// the process defaults; results are identical either way (parallel
-    /// workers merge in morsel order).
-    ///
-    /// Note that the options govern *execution only*: plans are costed
-    /// (and cached, shared across callers) under the process-default
-    /// knobs, so a custom `ExecOptions` changes how a plan runs, never
-    /// which plan is chosen.
-    fn query_planned_with(
-        &self,
-        q: &Query,
-        opts: &ExecOptions,
-    ) -> Result<(TypeId, Relation), QueryError>;
-
-    /// [`PlannedExecution::query_planned_ordered`] with explicit
-    /// [`ExecOptions`].
-    fn query_planned_ordered_with(
-        &self,
-        q: &Query,
-        opts: &ExecOptions,
-    ) -> Result<(TypeId, Vec<Instance>), QueryError>;
-
     /// Renders the chosen physical plan with cost estimates and the plan
     /// cache's hit/miss counters.
     fn explain(&self, q: &Query) -> Result<String, QueryError>;
@@ -203,10 +174,9 @@ pub trait PlannedExecution {
 /// [`QueryTarget::run`]; see [`PlannedExecution`].
 ///
 /// Profiling never changes execution: a profiled run produces a result
-/// bit-identical to [`PlannedExecution::query_planned`] (serial and
-/// parallel), it just also returns the annotated [`QueryProfile`] tree
-/// with estimated vs actual rows, per-node q-error, inclusive wall
-/// time, and actual parallel degree.
+/// bit-identical to [`PlannedExecution::query_planned`], it just also
+/// returns the annotated [`QueryProfile`] tree with estimated vs actual
+/// rows, per-node q-error, and inclusive wall time.
 pub trait ProfiledExecution {
     /// Plans, executes, and profiles `q`, returning its entity type,
     /// result relation, and the query's [`QueryProfile`]. Shares the
@@ -217,99 +187,11 @@ pub trait ProfiledExecution {
         q: &Query,
     ) -> Result<(TypeId, Relation, Arc<QueryProfile>), QueryError>;
 
-    /// [`ProfiledExecution::query_profiled`] with explicit
-    /// [`ExecOptions`].
-    fn query_profiled_with(
-        &self,
-        q: &Query,
-        opts: &ExecOptions,
-    ) -> Result<(TypeId, Relation, Arc<QueryProfile>), QueryError>;
-
     /// Executes `q` and renders its plan annotated with *actuals*: per
     /// operator the estimated and observed rows, the q-error of the
-    /// estimate, inclusive wall time, the observed parallel degree, and
-    /// operator detail (build/probe sizes, partition skew, sort runs,
-    /// keys touched), plus a phase-timing footer.
+    /// estimate, inclusive wall time, and operator detail (build/probe
+    /// sizes, keys touched), plus a phase-timing footer.
     fn explain_analyze(&self, q: &Query) -> Result<String, QueryError>;
-
-    /// [`ProfiledExecution::explain_analyze`] with explicit
-    /// [`ExecOptions`].
-    fn explain_analyze_with(&self, q: &Query, opts: &ExecOptions) -> Result<String, QueryError>;
-}
-
-/// Execution pinned to an explicit [`EngineSnapshot`] — the MVCC read
-/// path for long-running read transactions, implemented for [`Engine`].
-///
-/// **Deprecation note.** Shim over the unified path; prefer a
-/// [`PinnedSnapshot`] target with [`QueryTarget::run`]. See
-/// [`PlannedExecution`].
-///
-/// `query_planned` already routes non-transactional statements through
-/// the engine's *current* committed snapshot; these entry points let a
-/// caller (the session layer's `BEGIN READ`) capture one snapshot via
-/// [`Engine::snapshot`] and run any number of queries against that
-/// exact epoch: commits that land in between are simply never visible,
-/// which is snapshot isolation. Plans are shared through the engine's
-/// plan cache keyed on the snapshot's epoch, and every execution is
-/// traced and metered exactly like the unpinned path.
-pub trait SnapshotExecution {
-    /// [`PlannedExecution::query_planned`] against `snap` instead of
-    /// the engine's current state.
-    fn query_snapshot(
-        &self,
-        snap: &Arc<EngineSnapshot>,
-        q: &Query,
-    ) -> Result<(TypeId, Relation), QueryError>;
-
-    /// [`PlannedExecution::query_planned_ordered`] against `snap`.
-    fn query_snapshot_ordered(
-        &self,
-        snap: &Arc<EngineSnapshot>,
-        q: &Query,
-    ) -> Result<(TypeId, Vec<Instance>), QueryError>;
-
-    /// [`SnapshotExecution::query_snapshot`] with explicit
-    /// [`ExecOptions`].
-    fn query_snapshot_with(
-        &self,
-        snap: &Arc<EngineSnapshot>,
-        q: &Query,
-        opts: &ExecOptions,
-    ) -> Result<(TypeId, Relation), QueryError>;
-}
-
-impl SnapshotExecution for Engine {
-    fn query_snapshot(
-        &self,
-        snap: &Arc<EngineSnapshot>,
-        q: &Query,
-    ) -> Result<(TypeId, Relation), QueryError> {
-        self.query_snapshot_with(snap, q, &ExecOptions::default())
-    }
-
-    fn query_snapshot_ordered(
-        &self,
-        snap: &Arc<EngineSnapshot>,
-        q: &Query,
-    ) -> Result<(TypeId, Vec<Instance>), QueryError> {
-        let req = QueryRequest::new(q.clone()).ordered();
-        let resp = request::run_with(self, &req, Some(snap))?;
-        Ok((
-            resp.ty,
-            resp.rows.seq().expect("ordered request yields Seq"),
-        ))
-    }
-
-    fn query_snapshot_with(
-        &self,
-        snap: &Arc<EngineSnapshot>,
-        q: &Query,
-        opts: &ExecOptions,
-    ) -> Result<(TypeId, Relation), QueryError> {
-        let req = QueryRequest::new(q.clone()).with_options(*opts);
-        let resp = request::run_with(self, &req, Some(snap))?;
-        Ok((resp.ty, resp.rows.set().expect("plain request yields Set")))
-    }
 }
 
 /// A cache entry: the physical plan plus the canonical rendering of the
@@ -569,28 +451,12 @@ fn observe_query(
 
 impl PlannedExecution for Engine {
     fn query_planned(&self, q: &Query) -> Result<(TypeId, Relation), QueryError> {
-        self.query_planned_with(q, &ExecOptions::default())
-    }
-
-    fn query_planned_ordered(&self, q: &Query) -> Result<(TypeId, Vec<Instance>), QueryError> {
-        self.query_planned_ordered_with(q, &ExecOptions::default())
-    }
-
-    fn query_planned_with(
-        &self,
-        q: &Query,
-        opts: &ExecOptions,
-    ) -> Result<(TypeId, Relation), QueryError> {
-        let resp = self.run(&QueryRequest::new(q.clone()).with_options(*opts))?;
+        let resp = self.run(&QueryRequest::new(q.clone()))?;
         Ok((resp.ty, resp.rows.set().expect("plain request yields Set")))
     }
 
-    fn query_planned_ordered_with(
-        &self,
-        q: &Query,
-        opts: &ExecOptions,
-    ) -> Result<(TypeId, Vec<Instance>), QueryError> {
-        let resp = self.run(&QueryRequest::new(q.clone()).ordered().with_options(*opts))?;
+    fn query_planned_ordered(&self, q: &Query) -> Result<(TypeId, Vec<Instance>), QueryError> {
+        let resp = self.run(&QueryRequest::new(q.clone()).ordered())?;
         Ok((
             resp.ty,
             resp.rows.seq().expect("ordered request yields Seq"),
@@ -622,15 +488,7 @@ impl ProfiledExecution for Engine {
         &self,
         q: &Query,
     ) -> Result<(TypeId, Relation, Arc<QueryProfile>), QueryError> {
-        self.query_profiled_with(q, &ExecOptions::default())
-    }
-
-    fn query_profiled_with(
-        &self,
-        q: &Query,
-        opts: &ExecOptions,
-    ) -> Result<(TypeId, Relation, Arc<QueryProfile>), QueryError> {
-        let resp = self.run(&QueryRequest::new(q.clone()).with_options(*opts).profiled())?;
+        let resp = self.run(&QueryRequest::new(q.clone()).profiled())?;
         Ok((
             resp.ty,
             resp.rows.set().expect("plain request yields Set"),
@@ -640,11 +498,7 @@ impl ProfiledExecution for Engine {
     }
 
     fn explain_analyze(&self, q: &Query) -> Result<String, QueryError> {
-        self.explain_analyze_with(q, &ExecOptions::default())
-    }
-
-    fn explain_analyze_with(&self, q: &Query, opts: &ExecOptions) -> Result<String, QueryError> {
-        let (_, _, qp) = self.query_profiled_with(q, opts)?;
+        let (_, _, qp) = self.query_profiled(q)?;
         Ok(qp.render())
     }
 }

@@ -28,13 +28,8 @@
 //!
 //! Execution is a push-based batch pipeline: scans emit
 //! [`BATCH_SIZE`]-tuple batches into operator sinks; hash joins
-//! materialise their build side, merge joins and sorts their inputs.
-//! With the `parallel` feature, every pipeline runs morsel-parallel —
-//! partitioned hash joins, parallel set operations, parallel sort runs,
-//! and fused filter/project scans — on a scoped worker pool whose
-//! outputs merge back in morsel order (see [`crate::exec`]), and the
-//! cost model discounts partitionable operators by the degree the
-//! dispatcher would use (`explain` renders it as `par≈N`).
+//! materialise their build side, merge joins and sorts their inputs
+//! (see [`crate::exec`]).
 
 use std::collections::BTreeSet;
 
@@ -413,17 +408,7 @@ impl Physical {
         let Estimate { rows, cost } = estimate(self, stats);
         let pad = "  ".repeat(depth);
         let line = self.describe(db);
-        // Partitionable operators report the degree of parallelism the
-        // morsel dispatcher would use (only shown when > 1, which needs
-        // the `parallel` feature, multiple threads, and enough rows).
-        let par = crate::cost::parallel_degree(self, stats, &crate::exec::ExecOptions::default());
-        if par > 1 {
-            out.push_str(&format!(
-                "{pad}{line}  (rows≈{rows:.1}, cost≈{cost:.1}, par≈{par})\n"
-            ));
-        } else {
-            out.push_str(&format!("{pad}{line}  (rows≈{rows:.1}, cost≈{cost:.1})\n"));
-        }
+        out.push_str(&format!("{pad}{line}  (rows≈{rows:.1}, cost≈{cost:.1})\n"));
         for child in self.children() {
             child.explain_into(db, stats, depth + 1, out);
         }

@@ -78,11 +78,7 @@ fn build(
             detail.push(("left", children[0].stats.rows.to_string()));
             detail.push(("right", children[1].stats.rows.to_string()));
         }
-        Physical::Sort { .. } => detail.push(("runs", snap.runs.to_string())),
         _ => {}
-    }
-    if snap.morsels > 0 {
-        detail.push(("morsels", snap.morsels.to_string()));
     }
     if snap.vec_batches > 0 {
         detail.push(("vec", snap.vec_batches.to_string()));

@@ -9,9 +9,10 @@
 //! [`Consistency`]), and anything that can answer queries implements
 //! [`QueryTarget`] — the live [`Engine`], a pinned
 //! [`EngineSnapshot`] (via [`PinnedSnapshot`]), and a replication
-//! follower's read-only handle. The old traits survive as thin shims
-//! over this path, so every call site shares one plan cache, one trace
-//! ring, and one metrics pipeline.
+//! follower's read-only handle. The old `PlannedExecution` and
+//! `ProfiledExecution` traits survive as thin shims over this path, so
+//! every call site shares one plan cache, one trace ring, and one
+//! metrics pipeline.
 //!
 //! ```
 //! use toposem_core::{employee_schema, Intension};
@@ -103,8 +104,8 @@ impl QueryRequest {
         self
     }
 
-    /// Execute with explicit [`ExecOptions`] (thread ceiling, morsel
-    /// size). Options govern execution only — never plan choice.
+    /// Execute with explicit [`ExecOptions`] (row or columnar kernels).
+    /// Options govern execution only — never plan choice.
     pub fn with_options(mut self, opts: ExecOptions) -> Self {
         self.opts = opts;
         self
@@ -226,8 +227,7 @@ pub trait QueryTarget {
 }
 
 /// The shared execution body: everything lands on
-/// [`with_planned_profiled`] with an optional pinned snapshot. The
-/// deprecated trait shims in the crate root call this directly.
+/// [`with_planned_profiled`] with an optional pinned snapshot.
 pub(crate) fn run_with(
     eng: &Engine,
     req: &QueryRequest,

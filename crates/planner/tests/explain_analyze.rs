@@ -1,6 +1,6 @@
 //! `explain_analyze` / `query_profiled` correctness: observed actuals
 //! must equal ground truth (the naive interpreter), profiling must not
-//! perturb results (bit-identical, serial and parallel), q-error must
+//! perturb results (bit-identical, row and columnar kernels), q-error must
 //! collapse to 1.0 when statistics are fresh over uniform data, and the
 //! WAL's latency/batch histograms must surface in the Prometheus export
 //! after a commit-heavy workload.
@@ -11,7 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
-use toposem_planner::{ExecOptions, PlannedExecution, ProfiledExecution};
+use toposem_planner::{
+    ExecOptions, PlannedExecution, ProfiledExecution, QueryRequest, QueryTarget,
+};
 use toposem_storage::{Engine, Query};
 use toposem_wal::{FlushPolicy, Wal, WalConfig};
 
@@ -69,8 +71,7 @@ fn loaded_engine(n: i64) -> Engine {
 }
 
 /// The q1–q4-shaped query set: point select, range select, join with a
-/// pushed-down predicate (hostile nesting), and a plain join that the
-/// parallel executor partitions.
+/// pushed-down predicate (hostile nesting), and a plain join.
 fn query_suite(eng: &Engine) -> Vec<Query> {
     let s = eng.with_db(|db| db.schema().clone());
     let employee = s.type_id("employee").unwrap();
@@ -94,14 +95,16 @@ fn query_suite(eng: &Engine) -> Vec<Query> {
 
 /// The actual row count the root operator reports equals the naive
 /// interpreter's result cardinality, and the profiled result set is the
-/// naive result — serial execution.
+/// naive result.
 #[test]
 fn profiled_actuals_match_naive_serial() {
     let eng = loaded_engine(3_000);
     for q in query_suite(&eng) {
         let (naive_ty, naive) = eng.with_db(|db| q.execute(db)).unwrap();
-        let (ty, rel, qp) = eng.query_profiled_with(&q, &ExecOptions::serial()).unwrap();
-        assert_eq!(ty, naive_ty);
+        let resp = eng.run(&QueryRequest::new(q.clone()).profiled()).unwrap();
+        let rel = resp.rows.set().unwrap();
+        let qp = resp.profile.unwrap();
+        assert_eq!(resp.ty, naive_ty);
         assert_eq!(rel, naive, "profiled result diverged for {q:?}");
         assert_eq!(
             qp.root.stats.rows,
@@ -113,48 +116,21 @@ fn profiled_actuals_match_naive_serial() {
     }
 }
 
-/// Same ground-truth check under real multi-worker schedules.
-#[cfg(feature = "parallel")]
-#[test]
-fn profiled_actuals_match_naive_parallel() {
-    let eng = loaded_engine(3_000);
-    let opts = ExecOptions {
-        threads: 4,
-        morsel_size: 256,
-        ..ExecOptions::default()
-    };
-    for q in query_suite(&eng) {
-        let (_, naive) = eng.with_db(|db| q.execute(db)).unwrap();
-        let (_, rel, qp) = eng.query_profiled_with(&q, &opts).unwrap();
-        assert_eq!(rel, naive, "parallel profiled result diverged for {q:?}");
-        assert_eq!(
-            qp.root.stats.rows,
-            naive.len() as u64,
-            "parallel root actual rows != naive cardinality for {q:?}:\n{}",
-            qp.render()
-        );
-    }
-}
-
 /// A profiled run's result is bit-identical to the unprofiled planned
-/// run — profiling observes, never perturbs.
+/// run — profiling observes, never perturbs — on both kernel paths.
 #[test]
 fn profiled_result_identical_to_unprofiled() {
     let eng = loaded_engine(2_000);
-    let mut grid = vec![ExecOptions::serial()];
-    if cfg!(feature = "parallel") {
-        grid.push(ExecOptions {
-            threads: 4,
-            morsel_size: 128,
-            ..ExecOptions::default()
-        });
-    }
     for q in query_suite(&eng) {
-        for opts in &grid {
-            let (ty_a, plain) = eng.query_planned_with(&q, opts).unwrap();
-            let (ty_b, profiled, _) = eng.query_profiled_with(&q, opts).unwrap();
-            assert_eq!(ty_a, ty_b);
-            assert_eq!(plain, profiled, "profiling perturbed {q:?} under {opts:?}");
+        for columnar in [true, false] {
+            let req = QueryRequest::new(q.clone()).with_options(ExecOptions { columnar });
+            let plain = eng.run(&req).unwrap();
+            let profiled = eng.run(&req.clone().profiled()).unwrap();
+            assert_eq!(plain.ty, profiled.ty);
+            assert_eq!(
+                plain.rows, profiled.rows,
+                "profiling perturbed {q:?} (columnar: {columnar})"
+            );
         }
     }
 }
@@ -181,8 +157,8 @@ fn q_error_is_unity_with_fresh_stats_on_uniform_data() {
 }
 
 /// `explain_analyze` on the q3-shaped join renders every operator line
-/// with estimated rows, actual rows, q-error, wall time, and the actual
-/// parallel degree, plus the phase footer.
+/// with estimated rows, actual rows, q-error, and wall time, plus the
+/// phase footer.
 #[test]
 fn explain_analyze_annotates_every_operator() {
     let eng = loaded_engine(3_000);
@@ -200,12 +176,13 @@ fn explain_analyze_annotates_every_operator() {
             continue;
         }
         op_lines += 1;
-        for marker in ["est≈", "act=", "q=", "par≈"] {
+        for marker in ["est≈", "act=", "q="] {
             assert!(
                 line.contains(marker),
                 "operator line missing {marker}: {line}\nfull:\n{text}"
             );
         }
+        assert!(!line.contains("par≈"), "no parallel degree: {line}");
     }
     assert!(op_lines >= 3, "expected a join tree:\n{text}");
     assert!(text.contains("HashJoin"), "expected a hash join:\n{text}");

@@ -1,14 +1,13 @@
 //! The metrics registry fed by real engine traffic under concurrency:
-//! racing planned readers (and, with the `parallel` feature, morsel
-//! workers inside each of them) must account for every query exactly —
-//! no lost increments, no torn snapshots.
+//! racing planned readers must account for every query exactly — no
+//! lost increments, no torn snapshots.
 
 use std::sync::Arc;
 use std::thread;
 
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
-use toposem_planner::{ExecOptions, PlannedExecution};
+use toposem_planner::{QueryRequest, QueryTarget};
 use toposem_storage::{Engine, Query};
 
 fn loaded_engine(n: i64) -> Engine {
@@ -34,18 +33,6 @@ fn loaded_engine(n: i64) -> Engine {
     eng
 }
 
-fn exec_options() -> ExecOptions {
-    if cfg!(feature = "parallel") {
-        ExecOptions {
-            threads: 4,
-            morsel_size: 128,
-            ..ExecOptions::default()
-        }
-    } else {
-        ExecOptions::serial()
-    }
-}
-
 /// N threads each running K planned queries: `queries_planned` is
 /// exactly N*K, every lookup is either a hit or a miss, and the row
 /// counter equals the rows actually returned.
@@ -60,8 +47,8 @@ fn racing_planned_readers_account_for_every_query() {
 
     // One warm-up run so the plan is cached and the per-query row count
     // is known (1_000 rows, ages 0..90 → 12 rows of age 7).
-    let q = Query::scan(employee).select(age, Value::Int(7));
-    let (_, warm) = eng.query_planned_with(&q, &exec_options()).unwrap();
+    let q = QueryRequest::new(Query::scan(employee).select(age, Value::Int(7)));
+    let warm = eng.run(&q).unwrap().rows;
     let rows_per_query = warm.len() as u64;
     assert!(rows_per_query > 0);
     let base = eng.metrics_snapshot();
@@ -71,10 +58,9 @@ fn racing_planned_readers_account_for_every_query() {
             let eng = Arc::clone(&eng);
             let q = q.clone();
             thread::spawn(move || {
-                let opts = exec_options();
                 for _ in 0..PER_THREAD {
-                    let (_, rel) = eng.query_planned_with(&q, &opts).unwrap();
-                    assert_eq!(rel.len() as u64, rows_per_query);
+                    let rows = eng.run(&q).unwrap().rows;
+                    assert_eq!(rows.len() as u64, rows_per_query);
                 }
             })
         })
@@ -125,10 +111,11 @@ fn racing_readers_and_writer_keep_exact_accounting() {
         .map(|t| {
             let eng = Arc::clone(&eng);
             thread::spawn(move || {
-                let opts = exec_options();
-                let q = Query::scan(employee).select(age, Value::Int((t % 90) as i64));
+                let q = QueryRequest::new(
+                    Query::scan(employee).select(age, Value::Int((t % 90) as i64)),
+                );
                 for _ in 0..PER_READER {
-                    eng.query_planned_with(&q, &opts).unwrap();
+                    eng.run(&q).unwrap();
                 }
             })
         })

@@ -9,8 +9,8 @@
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
 use toposem_planner::{
-    execute, execute_ordered_with, lower_and_rewrite, plan_with, ExecOptions, PlannedExecution,
-    PlannerOptions,
+    execute, execute_ordered, lower_and_rewrite, plan_with, Physical, PlannedExecution,
+    PlannerOptions, QueryRequest, QueryTarget,
 };
 use toposem_storage::{cmp_by_keys, Engine, IndexKind, Query, SortDir};
 
@@ -527,26 +527,13 @@ fn shared_person_engine() -> Engine {
     eng
 }
 
-/// The planned ordered rows, serial and (with the `parallel` feature)
-/// on 4 workers with 1-tuple morsels; both must be the same sequence.
+/// The planned ordered rows.
 fn planned_ordered(eng: &Engine, q: &Query) -> Vec<toposem_extension::Instance> {
-    let serial = eng
-        .query_planned_ordered_with(q, &ExecOptions::serial())
+    eng.run(&QueryRequest::new(q.clone()).ordered())
         .unwrap()
-        .1;
-    let parallel = eng
-        .query_planned_ordered_with(
-            q,
-            &ExecOptions {
-                threads: 4,
-                morsel_size: 1,
-                ..ExecOptions::serial()
-            },
-        )
+        .rows
+        .seq()
         .unwrap()
-        .1;
-    assert_eq!(serial, parallel, "parallel diverged for {q:?}");
-    serial
 }
 
 /// Asserts the planned ordered result holds exactly `expect` rows, each
@@ -635,8 +622,68 @@ fn ordered_join_of_two_scans_keeps_every_row() {
         };
         let phys = plan_with(&logical, db, indexes, &stats, &no_merge);
         assert!(format!("{phys:?}").contains("HashJoin"), "{phys:?}");
-        execute_ordered_with(&phys, db, indexes, &ExecOptions::serial())
+        execute_ordered(&phys, db, indexes)
     });
     let distinct: std::collections::HashSet<_> = rows.iter().collect();
     assert_eq!((rows.len(), distinct.len()), (4, 4), "{rows:?}");
+}
+
+/// A hand-built `Sort` over a `MergeJoin` of two `Sort`ed scans runs the
+/// sort and merge-join operators directly, whatever the planner would
+/// pick: the result is the naive `employee ⋈ department`, and ordered
+/// execution arrives sorted on the join key.
+#[test]
+fn explicit_sort_and_merge_join_trees_agree() {
+    let eng = engine();
+    load(&eng, 300);
+    let s = eng.with_db(|db| db.schema().clone());
+    let employee = s.type_id("employee").unwrap();
+    let department = s.type_id("department").unwrap();
+    let worksfor = s.type_id("worksfor").unwrap();
+    let depname = s.attr_id("depname").unwrap();
+    let sort_keys = vec![(depname, SortDir::Asc)];
+    let sorted_scan = |ty| {
+        Box::new(Physical::Sort {
+            input: Box::new(Physical::SeqScan {
+                ty,
+                preds: Vec::new(),
+            }),
+            keys: sort_keys.clone(),
+        })
+    };
+    let plan = Physical::Sort {
+        input: Box::new(Physical::MergeJoin {
+            left: sorted_scan(employee),
+            right: sorted_scan(department),
+            keys: vec![depname],
+            ty: worksfor,
+        }),
+        keys: sort_keys.clone(),
+    };
+    let naive = eng
+        .with_db(|db| {
+            Query::scan(employee)
+                .join(Query::scan(department))
+                .execute(db)
+        })
+        .unwrap()
+        .1;
+    assert_eq!(naive.len(), 300, "every employee meets one department");
+    let (set, seq) = eng.with_parts(|db, indexes| {
+        (
+            execute(&plan, db, indexes),
+            execute_ordered(&plan, db, indexes),
+        )
+    });
+    assert_eq!(set, naive, "merge-join tree != naive join");
+    assert_eq!(seq.len(), naive.len());
+    assert_eq!(
+        seq.iter().cloned().collect::<toposem_extension::Relation>(),
+        naive
+    );
+    assert!(
+        seq.windows(2)
+            .all(|w| cmp_by_keys(&w[0], &w[1], &sort_keys) != std::cmp::Ordering::Greater),
+        "output violates the enforced sort order"
+    );
 }

@@ -466,8 +466,7 @@ proptest! {
 }
 
 /// Batch-boundary coverage: a relation larger than one executor batch
-/// (and past the parallel-scan threshold when that feature is on) agrees
-/// with naive execution.
+/// agrees with naive execution.
 #[test]
 fn large_scan_crosses_batch_boundaries() {
     let eng = engine(ContainmentPolicy::Eager);

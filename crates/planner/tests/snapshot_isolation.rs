@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
-use toposem_planner::{PlannedExecution, SnapshotExecution};
+use toposem_planner::{PinnedSnapshot, PlannedExecution, QueryRequest, QueryTarget};
 use toposem_storage::{Engine, IndexKind, Query};
 
 fn engine() -> Arc<Engine> {
@@ -67,8 +67,8 @@ fn concurrent_readers_see_stable_epochs_no_torn_joins() {
             s.type_id("department").unwrap(),
         )
     });
-    let scan = Query::scan(employee);
-    let join = Query::scan(employee).join(Query::scan(department));
+    let scan = QueryRequest::new(Query::scan(employee));
+    let join = QueryRequest::new(Query::scan(employee).join(Query::scan(department)));
 
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -83,10 +83,10 @@ fn concurrent_readers_see_stable_epochs_no_torn_joins() {
                 let mut last_count = 0usize;
                 loop {
                     let finished = done.load(Ordering::SeqCst);
-                    let snap = eng.snapshot().expect("no txn active");
-                    let (_, emp1) = eng.query_snapshot(&snap, &scan).unwrap();
-                    let (_, joined) = eng.query_snapshot(&snap, &join).unwrap();
-                    let (_, emp2) = eng.query_snapshot(&snap, &scan).unwrap();
+                    let snap = PinnedSnapshot::capture(&eng).expect("no txn active");
+                    let emp1 = snap.run(&scan).unwrap().rows;
+                    let joined = snap.run(&join).unwrap().rows;
+                    let emp2 = snap.run(&scan).unwrap().rows;
                     // Same snapshot ⇒ same relation, however long the
                     // writer has been committing in between.
                     assert_eq!(emp1, emp2, "repeated scans of one snapshot tore");
@@ -126,9 +126,10 @@ fn pinned_snapshot_ignores_later_commits() {
     }
     let employee = eng.with_db(|db| db.schema().type_id("employee").unwrap());
     let q = Query::scan(employee);
+    let req = QueryRequest::new(q.clone());
 
-    let pin = eng.snapshot().expect("no txn active");
-    let (_, before) = eng.query_snapshot(&pin, &q).unwrap();
+    let pin = PinnedSnapshot::capture(&eng).expect("no txn active");
+    let before = pin.run(&req).unwrap().rows;
     assert_eq!(before.len(), 30);
 
     // Autocommit writes and an explicit transaction both land after.
@@ -139,7 +140,7 @@ fn pinned_snapshot_ignores_later_commits() {
     insert_employee(&eng, 40);
     eng.commit().unwrap();
 
-    let (_, pinned) = eng.query_snapshot(&pin, &q).unwrap();
+    let pinned = pin.run(&req).unwrap().rows;
     assert_eq!(pinned.len(), 30, "pinned reads must not see later commits");
     let (_, current) = eng.query_planned(&q).unwrap();
     assert_eq!(current.len(), 41, "unpinned reads see the current state");
@@ -163,15 +164,16 @@ fn drop_index_mid_read_replans_safely() {
     let q = Query::scan(employee).select_between(age, Value::Int(10), Value::Int(40));
     assert!(eng.explain(&q).unwrap().contains("IndexRangeSeek"));
 
-    let pin = eng.snapshot().expect("no txn active");
-    let (_, r1) = eng.query_snapshot(&pin, &q).unwrap();
+    let req = QueryRequest::new(q.clone());
+    let pin = PinnedSnapshot::capture(&eng).expect("no txn active");
+    let r1 = pin.run(&req).unwrap().rows.set().unwrap();
 
     assert!(eng
         .drop_index(employee, IndexKind::Ordered, &[age])
         .unwrap());
 
     // The pinned snapshot's copy of the index outlives the drop.
-    let (_, r2) = eng.query_snapshot(&pin, &q).unwrap();
+    let r2 = pin.run(&req).unwrap().rows.set().unwrap();
     assert_eq!(r1, r2, "pinned execution changed across an index drop");
 
     // Fresh reads replan against the current (index-less) state.
@@ -206,8 +208,9 @@ fn snapshot_reads_equal_serial_interleaving() {
         for i in batch * 20..(batch + 1) * 20 {
             insert_employee(&eng, i);
         }
-        let snap = eng.snapshot().expect("no txn active");
-        per_batch.push(eng.query_snapshot(&snap, &q).unwrap());
+        let snap = PinnedSnapshot::capture(&eng).expect("no txn active");
+        let resp = snap.run(&QueryRequest::new(q.clone())).unwrap();
+        per_batch.push((resp.ty, resp.rows.set().unwrap()));
     }
 
     let serial = engine();

@@ -6,16 +6,12 @@
 //! plan whose index vanished mid-flight must replan, never panic, and
 //! every result must equal the DDL-independent ground truth — the data
 //! never changes, only the access paths do.
-//!
-//! Runs in both executor modes; under `--features parallel` the readers
-//! additionally exercise the morsel dispatcher while DDL writers contend
-//! for the engine lock.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
-use toposem_planner::{ExecOptions, PlannedExecution};
+use toposem_planner::{QueryRequest, QueryTarget};
 use toposem_storage::{Engine, IndexKind, Query};
 
 const ROWS: i64 = 2_000;
@@ -86,28 +82,26 @@ fn concurrent_planned_readers_survive_index_ddl() {
     // makes progress under DDL churn, not that the pool does in
     // aggregate (one hot reader must not mask a starved one).
     let rounds: Vec<AtomicUsize> = (0..READERS).map(|_| AtomicUsize::new(0)).collect();
-    // A small morsel size forces multi-morsel parallel schedules on the
-    // 2k-row relation when the `parallel` feature is on; without it the
-    // knobs are inert and the test still races plan-cache + DDL.
-    let opts = ExecOptions {
-        threads: 4,
-        morsel_size: 128,
-        ..ExecOptions::default()
-    };
 
     std::thread::scope(|scope| {
         for my_rounds in &rounds {
             scope.spawn(|| {
                 while !stop.load(Ordering::Relaxed) {
                     for (q, want) in queries.iter().zip(&expected) {
+                        let req = QueryRequest::new(q.clone());
                         let got = eng
-                            .query_planned_with(q, &opts)
+                            .run(&req)
                             .expect("sanctioned query must plan under concurrent DDL");
-                        assert_eq!(got, *want, "reader observed a wrong result for {q:?}");
-                        let (_, seq) = eng
-                            .query_planned_ordered_with(q, &opts)
+                        assert_eq!(got.ty, want.0);
+                        assert_eq!(
+                            got.rows.set().as_ref(),
+                            Some(&want.1),
+                            "reader observed a wrong result for {q:?}"
+                        );
+                        let seq = eng
+                            .run(&req.ordered())
                             .expect("ordered execution must survive concurrent DDL");
-                        assert_eq!(seq.len(), want.1.len());
+                        assert_eq!(seq.rows.len(), want.1.len());
                     }
                     my_rounds.fetch_add(1, Ordering::Relaxed);
                 }
