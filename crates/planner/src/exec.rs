@@ -1249,7 +1249,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_columnar_matches_row_streaming() {
+    fn scan_columnar_serial_matches_row_streaming() {
         use Predicate::*;
         let mut rel = Relation::new();
         for t in make_rows(200) {
