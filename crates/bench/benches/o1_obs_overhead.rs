@@ -1,7 +1,7 @@
 //! O1: the cost of always-on observability.
 //!
 //! The profiling contract is "near-free": per-operator counters are
-//! plain local tallies merged into atomics once per batch/morsel, and
+//! plain local tallies merged into atomics once per operator, and
 //! wall clocks are one `Instant` pair per operator per execution. This
 //! bench pins that claim — profiled execution of the q1-shaped workload
 //! must stay within 5% of unprofiled execution, and the profiled result
@@ -15,9 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
 use toposem_obs::PlanProfile;
-use toposem_planner::{
-    execute_profiled_with, execute_with, lower_and_rewrite, plan, ExecOptions, Physical,
-};
+use toposem_planner::{execute, execute_profiled, lower_and_rewrite, plan, Physical};
 use toposem_storage::{Engine, Query};
 
 /// 10 000 tuples normally, 2 000 in CI short mode (`TOPOSEM_BENCH_SHORT`).
@@ -104,15 +102,14 @@ fn bench(c: &mut Criterion) {
             .map(|q| plan(&lower_and_rewrite(q, db).unwrap(), db, indexes, &stats))
             .collect()
     });
-    let opts = ExecOptions::default();
 
     // Bit-identity: profiling observes, never perturbs.
     eng.with_parts(|db, indexes| {
         for p in &plans {
             let profile = PlanProfile::new(p.node_count());
             assert_eq!(
-                execute_with(p, db, indexes, &opts),
-                execute_profiled_with(p, db, indexes, &opts, &profile),
+                execute(p, db, indexes),
+                execute_profiled(p, db, indexes, &profile),
                 "profiled execution diverged"
             );
             assert!(
@@ -131,7 +128,7 @@ fn bench(c: &mut Criterion) {
         min_time(samples, || {
             for _ in 0..iters {
                 for p in &plans {
-                    criterion::black_box(execute_with(p, db, indexes, &opts));
+                    criterion::black_box(execute(p, db, indexes));
                 }
             }
         })
@@ -141,7 +138,7 @@ fn bench(c: &mut Criterion) {
             for _ in 0..iters {
                 for p in &plans {
                     let profile = PlanProfile::new(p.node_count());
-                    criterion::black_box(execute_profiled_with(p, db, indexes, &opts, &profile));
+                    criterion::black_box(execute_profiled(p, db, indexes, &profile));
                 }
             }
         })
@@ -179,7 +176,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             eng.with_parts(|db, indexes| {
                 for p in &plans {
-                    criterion::black_box(execute_with(p, db, indexes, &opts));
+                    criterion::black_box(execute(p, db, indexes));
                 }
             })
         })
@@ -189,7 +186,7 @@ fn bench(c: &mut Criterion) {
             eng.with_parts(|db, indexes| {
                 for p in &plans {
                     let profile = PlanProfile::new(p.node_count());
-                    criterion::black_box(execute_profiled_with(p, db, indexes, &opts, &profile));
+                    criterion::black_box(execute_profiled(p, db, indexes, &profile));
                 }
             })
         })

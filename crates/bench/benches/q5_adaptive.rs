@@ -23,8 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, DomainSpec, Value};
 use toposem_planner::{
-    execute_with, lower_and_rewrite, plan, ExecOptions, Physical, PlannedExecution,
-    ProfiledExecution,
+    execute, lower_and_rewrite, plan, Physical, PlannedExecution, ProfiledExecution,
 };
 use toposem_storage::{Engine, Query};
 
@@ -138,10 +137,10 @@ fn min_time<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
 
 fn bench(c: &mut Criterion) {
     // Equi-depth histograms see through this bench's skew statically
-    // (q6's statistics — the tail range prices correctly on the first
-    // plan), so pin the *runtime feedback* loop by reverting to min/max
-    // interpolation for the whole process: the mispick it corrects must
-    // exist to be corrected.
+    // (the tail range prices correctly on the first plan), so pin the
+    // *runtime feedback* loop by reverting to min/max interpolation for
+    // the whole process: the mispick it corrects must exist to be
+    // corrected.
     toposem_storage::set_histograms_enabled(false);
 
     let eng = skewed_engine(n());
@@ -199,14 +198,13 @@ fn bench(c: &mut Criterion) {
         "explain_analyze factors est as static×corr:\n{analyzed}"
     );
 
-    // Speedup: corrected vs static plan, same engine, same options.
-    let opts = ExecOptions::default();
+    // Speedup: corrected vs static plan, same engine.
     let (samples, iters) = toposem_bench::sized((15, 20), (10, 10));
     let time_plan = |p: &Physical| {
         eng.with_parts(|db, indexes| {
             min_time(samples, || {
                 for _ in 0..iters {
-                    criterion::black_box(execute_with(p, db, indexes, &opts));
+                    criterion::black_box(execute(p, db, indexes));
                 }
             })
         })

@@ -12,7 +12,6 @@
 //! type, maintained under either eager or on-demand containment
 //! ([`database::ContainmentPolicy`]).
 
-pub mod columnar;
 pub mod database;
 pub mod evolution;
 pub mod extension_map;
@@ -22,7 +21,6 @@ pub mod logical_op;
 pub mod relation;
 pub mod value;
 
-pub use columnar::{Column, ColumnarMorsel, SelectionMask};
 pub use database::{ContainmentPolicy, ContainmentViolation, Database};
 pub use evolution::{evolve, EvolutionOp, EvolveError, Migration, TypeFate};
 pub use extension_map::{e_map, p_inclusion_holds, verify_corollary, CorollaryReport};

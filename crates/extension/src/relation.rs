@@ -224,21 +224,6 @@ impl Relation {
         self.tuples.iter().filter(|t| f(t)).cloned().collect()
     }
 
-    /// Splits the relation into *morsels* — contiguous runs of at most
-    /// `size` tuples in canonical iteration order. The concatenation of
-    /// all morsels is exactly [`Relation::iter`], so the columnar scan
-    /// that evaluates morsel by morsel emits rows in canonical order.
-    ///
-    /// `size` is clamped to at least 1.
-    pub fn morsels(&self, size: usize) -> impl Iterator<Item = Vec<&Instance>> {
-        let size = size.max(1);
-        let mut iter = self.tuples.iter();
-        std::iter::from_fn(move || {
-            let part: Vec<&Instance> = iter.by_ref().take(size).collect();
-            (!part.is_empty()).then_some(part)
-        })
-    }
-
     /// Number of distinct values of `attr` across the relation (tuples
     /// lacking the attribute don't contribute). The statistics layer uses
     /// this to estimate access-path selectivity.
@@ -330,27 +315,6 @@ mod tests {
         assert!(!b.is_subset(&a));
         a.union_with(&b);
         assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn morsels_partition_canonical_order() {
-        let s = employee_schema();
-        let c = DomainCatalog::employee_defaults();
-        let r: Relation = (0..10)
-            .map(|i| emp(&s, &c, &format!("w{i}"), 20 + i, "sales"))
-            .collect();
-        // Concatenated morsels equal canonical iteration, for any size.
-        for size in [1, 3, 4, 10, 99] {
-            let glued: Vec<&Instance> = r.morsels(size).flatten().collect();
-            let canonical: Vec<&Instance> = r.iter().collect();
-            assert_eq!(glued, canonical, "morsel size {size}");
-            for m in r.morsels(size) {
-                assert!(!m.is_empty() && m.len() <= size);
-            }
-        }
-        // A zero size is clamped, not a panic or an infinite loop.
-        assert_eq!(r.morsels(0).count(), 10);
-        assert_eq!(Relation::new().morsels(4).count(), 0);
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub struct NodeProfile {
     pub partitions: AtomicU64,
     /// Largest partition size — the skew numerator.
     pub max_partition: AtomicU64,
-    /// Columnar batches evaluated through the vectorised kernels.
-    pub vec_batches: AtomicU64,
 }
 
 impl NodeProfile {
@@ -65,11 +63,6 @@ impl NodeProfile {
         self.max_partition.fetch_max(max, Ordering::Relaxed);
     }
 
-    /// Add vectorised (columnar) batches.
-    pub fn add_vec_batches(&self, n: u64) {
-        self.vec_batches.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Plain-data copy.
     pub fn snapshot(&self) -> NodeSnapshot {
         NodeSnapshot {
@@ -79,7 +72,6 @@ impl NodeProfile {
             calls: self.calls.load(Ordering::Relaxed),
             partitions: self.partitions.load(Ordering::Relaxed),
             max_partition: self.max_partition.load(Ordering::Relaxed),
-            vec_batches: self.vec_batches.load(Ordering::Relaxed),
         }
     }
 }
@@ -99,8 +91,6 @@ pub struct NodeSnapshot {
     pub partitions: u64,
     /// Largest partition.
     pub max_partition: u64,
-    /// Columnar batches evaluated.
-    pub vec_batches: u64,
 }
 
 /// Accumulator for a whole plan: one [`NodeProfile`] per operator,

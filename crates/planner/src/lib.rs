@@ -113,8 +113,7 @@ use toposem_storage::{Engine, EngineSnapshot, Query, QueryError};
 
 pub use cost::{estimate, Estimate};
 pub use exec::{
-    execute, execute_ordered, execute_ordered_profiled_with, execute_ordered_with,
-    execute_profiled_with, execute_with, plan_supported, ExecOptions,
+    execute, execute_ordered, execute_ordered_with, execute_profiled, plan_supported, ExecOptions,
 };
 pub use logical::{lower_and_rewrite, Logical};
 pub use physical::{
@@ -466,21 +465,35 @@ impl PlannedExecution for Engine {
     fn explain(&self, q: &Query) -> Result<String, QueryError> {
         let stats = self.statistics();
         let epoch = self.statistics_epoch();
-        let cache = self.plan_cache_stats();
-        let (hits, misses) = (cache.hits, cache.misses);
-        self.with_parts(|db, indexes| {
-            let logical = lower_and_rewrite(q, db)?;
-            let physical = plan(&logical, db, indexes, &stats);
-            let mut out = physical.explain(db, &stats);
-            if !out.ends_with('\n') {
-                out.push('\n');
-            }
-            out.push_str(&format!(
-                "PlanCache: {hits} hits, {misses} misses (statistics epoch {epoch})\n"
-            ));
-            Ok(out)
-        })
+        self.with_parts(|db, indexes| render_explain(self, q, db, indexes, &stats, epoch))
     }
+}
+
+/// Renders `q`'s physical plan over one consistent view — `db` and
+/// `indexes` priced by `stats`, captured under statistics epoch `epoch`
+/// — followed by `eng`'s plan-cache counters. Shared by
+/// [`PlannedExecution::explain`] (the live engine) and
+/// [`PinnedSnapshot::explain`] (a pinned epoch).
+fn render_explain(
+    eng: &Engine,
+    q: &Query,
+    db: &toposem_extension::Database,
+    indexes: &[Vec<toposem_storage::Index>],
+    stats: &toposem_storage::Statistics,
+    epoch: u64,
+) -> Result<String, QueryError> {
+    let logical = lower_and_rewrite(q, db)?;
+    let physical = plan(&logical, db, indexes, stats);
+    let mut out = physical.explain(db, stats);
+    if !out.ends_with('\n') {
+        out.push('\n');
+    }
+    let cache = eng.plan_cache_stats();
+    out.push_str(&format!(
+        "PlanCache: {} hits, {} misses (statistics epoch {epoch})\n",
+        cache.hits, cache.misses
+    ));
+    Ok(out)
 }
 
 impl ProfiledExecution for Engine {
@@ -969,16 +982,20 @@ mod tests {
         let employee = s.type_id("employee").unwrap();
         let depname = s.attr_id("depname").unwrap();
         let q = Query::scan(employee).select(depname, Value::str("sales"));
-        assert_eq!(eng.plan_cache_counters(), (0, 0));
+        let c = eng.plan_cache_stats();
+        assert_eq!((c.hits, c.misses), (0, 0));
         let first = eng.query_planned(&q).unwrap();
-        assert_eq!(eng.plan_cache_counters(), (0, 1), "cold cache misses");
+        let c = eng.plan_cache_stats();
+        assert_eq!((c.hits, c.misses), (0, 1), "cold cache misses");
         let second = eng.query_planned(&q).unwrap();
-        assert_eq!(eng.plan_cache_counters(), (1, 1), "repeat hits");
+        let c = eng.plan_cache_stats();
+        assert_eq!((c.hits, c.misses), (1, 1), "repeat hits");
         assert_eq!(first, second, "cached plan returns identical results");
         // A structurally different query is its own entry.
         let q2 = Query::scan(employee).select(depname, Value::str("research"));
         eng.query_planned(&q2).unwrap();
-        assert_eq!(eng.plan_cache_counters(), (1, 2));
+        let c = eng.plan_cache_stats();
+        assert_eq!((c.hits, c.misses), (1, 2));
         // Mutations bump the statistics epoch: the cached plans are stale
         // (an index created now could change the best access path), so
         // the next lookup misses and replans.
@@ -992,7 +1009,8 @@ mod tests {
         )
         .unwrap();
         let third = eng.query_planned(&q).unwrap();
-        assert_eq!(eng.plan_cache_counters(), (1, 3), "epoch change misses");
+        let c = eng.plan_cache_stats();
+        assert_eq!((c.hits, c.misses), (1, 3), "epoch change misses");
         assert_eq!(third.1.len(), first.1.len() + 1);
         // The counters surface through explain.
         let text = eng.explain(&q).unwrap();

@@ -80,9 +80,6 @@ fn build(
         }
         _ => {}
     }
-    if snap.vec_batches > 0 {
-        detail.push(("vec", snap.vec_batches.to_string()));
-    }
     let est_rows = estimate(plan, stats).rows;
     let static_rows = estimate(plan, raw).rows;
     let corr = if static_rows > 0.0 {

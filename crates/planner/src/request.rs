@@ -2,16 +2,15 @@
 //! [`QueryTarget`] trait.
 //!
 //! The planner grew entry points combinatorially — planned/profiled/
-//! snapshot × plain/ordered/with-options — nine methods across three
-//! traits for what is a single pipeline with four switches. This module
-//! collapses them: a [`QueryRequest`] carries the query plus every
-//! switch (ordering, [`ExecOptions`], profiling, and a read
-//! [`Consistency`]), and anything that can answer queries implements
-//! [`QueryTarget`] — the live [`Engine`], a pinned
-//! [`EngineSnapshot`] (via [`PinnedSnapshot`]), and a replication
-//! follower's read-only handle. The old `PlannedExecution` and
-//! `ProfiledExecution` traits survive as thin shims over this path, so
-//! every call site shares one plan cache, one trace ring, and one
+//! snapshot × plain/ordered — several methods across three traits for
+//! what is a single pipeline with three switches. This module collapses
+//! them: a [`QueryRequest`] carries the query plus every switch
+//! (ordering, profiling, and a read [`Consistency`]), and anything that
+//! can answer queries implements [`QueryTarget`] — the live [`Engine`],
+//! a pinned [`EngineSnapshot`] (via [`PinnedSnapshot`]), and a
+//! replication follower's read-only handle. The old `PlannedExecution`
+//! and `ProfiledExecution` traits survive as thin shims over this path,
+//! so every call site shares one plan cache, one trace ring, and one
 //! metrics pipeline.
 //!
 //! ```
@@ -52,7 +51,7 @@ use toposem_extension::{Instance, Relation};
 use toposem_obs::QueryProfile;
 use toposem_storage::{Engine, EngineSnapshot, Query, QueryError};
 
-use crate::exec::{self, ExecOptions};
+use crate::exec;
 use crate::with_planned_profiled;
 
 /// How current the read must be.
@@ -79,19 +78,17 @@ pub enum Consistency {
 pub struct QueryRequest {
     query: Query,
     ordered: bool,
-    opts: ExecOptions,
     profile: bool,
     consistency: Consistency,
 }
 
 impl QueryRequest {
-    /// A request with the defaults: unordered set result, process-default
-    /// [`ExecOptions`], no profile, [`Consistency::Latest`].
+    /// A request with the defaults: unordered set result, no profile,
+    /// [`Consistency::Latest`].
     pub fn new(query: Query) -> Self {
         QueryRequest {
             query,
             ordered: false,
-            opts: ExecOptions::default(),
             profile: false,
             consistency: Consistency::Latest,
         }
@@ -101,13 +98,6 @@ impl QueryRequest {
     /// `OrderBy` (the planner carries or enforces the order).
     pub fn ordered(mut self) -> Self {
         self.ordered = true;
-        self
-    }
-
-    /// Execute with explicit [`ExecOptions`] (row or columnar kernels).
-    /// Options govern execution only — never plan choice.
-    pub fn with_options(mut self, opts: ExecOptions) -> Self {
-        self.opts = opts;
         self
     }
 
@@ -137,11 +127,6 @@ impl QueryRequest {
     /// Whether an ordered sequence was requested.
     pub fn is_ordered(&self) -> bool {
         self.ordered
-    }
-
-    /// The execution options.
-    pub fn options(&self) -> &ExecOptions {
-        &self.opts
     }
 
     /// Whether the caller wants the assembled profile.
@@ -239,9 +224,7 @@ pub(crate) fn run_with(
             req.query(),
             pinned,
             req.wants_profile(),
-            |physical, db, indexes, prof| {
-                exec::execute_ordered_profiled_with(physical, db, indexes, req.options(), prof)
-            },
+            exec::execute_ordered_profiled,
             |seq| seq.len() as u64,
         )?;
         Ok(QueryResponse {
@@ -255,9 +238,7 @@ pub(crate) fn run_with(
             req.query(),
             pinned,
             req.wants_profile(),
-            |physical, db, indexes, prof| {
-                exec::execute_profiled_with(physical, db, indexes, req.options(), prof)
-            },
+            exec::execute_profiled,
             |rel| rel.len() as u64,
         )?;
         Ok(QueryResponse {
@@ -330,6 +311,21 @@ impl PinnedSnapshot {
     /// The engine the snapshot came from.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
+    }
+
+    /// Renders `q`'s plan against the pinned snapshot's database,
+    /// indexes, and statistics — the plan [`QueryTarget::run`] executes
+    /// on this target, not the live engine's.
+    pub fn explain(&self, q: &Query) -> Result<String, QueryError> {
+        let s = &self.snap;
+        crate::render_explain(
+            &self.engine,
+            q,
+            s.db(),
+            s.indexes(),
+            &s.statistics(),
+            s.stats_epoch(),
+        )
     }
 }
 

@@ -1,9 +1,9 @@
 //! `explain_analyze` / `query_profiled` correctness: observed actuals
 //! must equal ground truth (the naive interpreter), profiling must not
-//! perturb results (bit-identical, row and columnar kernels), q-error must
-//! collapse to 1.0 when statistics are fresh over uniform data, and the
-//! WAL's latency/batch histograms must surface in the Prometheus export
-//! after a commit-heavy workload.
+//! perturb results (bit-identical), q-error must collapse to 1.0 when
+//! statistics are fresh over uniform data, and the WAL's latency/batch
+//! histograms must surface in the Prometheus export after a
+//! commit-heavy workload.
 
 use std::fs;
 use std::path::PathBuf;
@@ -11,9 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
-use toposem_planner::{
-    ExecOptions, PlannedExecution, ProfiledExecution, QueryRequest, QueryTarget,
-};
+use toposem_planner::{PlannedExecution, ProfiledExecution, QueryRequest, QueryTarget};
 use toposem_storage::{Engine, Query};
 use toposem_wal::{FlushPolicy, Wal, WalConfig};
 
@@ -117,21 +115,16 @@ fn profiled_actuals_match_naive_serial() {
 }
 
 /// A profiled run's result is bit-identical to the unprofiled planned
-/// run — profiling observes, never perturbs — on both kernel paths.
+/// run — profiling observes, never perturbs.
 #[test]
 fn profiled_result_identical_to_unprofiled() {
     let eng = loaded_engine(2_000);
     for q in query_suite(&eng) {
-        for columnar in [true, false] {
-            let req = QueryRequest::new(q.clone()).with_options(ExecOptions { columnar });
-            let plain = eng.run(&req).unwrap();
-            let profiled = eng.run(&req.clone().profiled()).unwrap();
-            assert_eq!(plain.ty, profiled.ty);
-            assert_eq!(
-                plain.rows, profiled.rows,
-                "profiling perturbed {q:?} (columnar: {columnar})"
-            );
-        }
+        let req = QueryRequest::new(q.clone());
+        let plain = eng.run(&req).unwrap();
+        let profiled = eng.run(&req.profiled()).unwrap();
+        assert_eq!(plain.ty, profiled.ty);
+        assert_eq!(plain.rows, profiled.rows, "profiling perturbed {q:?}");
     }
 }
 

@@ -47,12 +47,13 @@ fn create_ord_index_invalidates_cached_seq_scan_plan() {
     // Cold: the only access path is a sequential scan; the plan caches.
     assert!(eng.explain(&q).unwrap().contains("SeqScan"));
     let first = eng.query_planned(&q).unwrap();
-    let (h0, m0) = eng.plan_cache_counters();
+    let c0 = eng.plan_cache_stats();
     let second = eng.query_planned(&q).unwrap();
     assert_eq!(first, second);
+    let c = eng.plan_cache_stats();
     assert_eq!(
-        eng.plan_cache_counters(),
-        (h0 + 1, m0),
+        (c.hits, c.misses),
+        (c0.hits + 1, c0.misses),
         "repeat query must hit the cached SeqScan plan"
     );
 
@@ -66,11 +67,12 @@ fn create_ord_index_invalidates_cached_seq_scan_plan() {
 
     // …so the stale SeqScan plan is NOT served: the next execution
     // misses, replans, and picks the range seek.
-    let (h1, m1) = eng.plan_cache_counters();
+    let c1 = eng.plan_cache_stats();
     let third = eng.query_planned(&q).unwrap();
+    let c = eng.plan_cache_stats();
     assert_eq!(
-        eng.plan_cache_counters(),
-        (h1, m1 + 1),
+        (c.hits, c.misses),
+        (c1.hits, c1.misses + 1),
         "post-DDL lookup must miss (stale plan served otherwise)"
     );
     assert_eq!(first, third, "replanned results must not change");

@@ -254,12 +254,15 @@ impl Session {
         }
     }
 
-    /// Renders the query's physical plan (against the pinned snapshot's
-    /// statistics when one is held — the plan the session would run).
+    /// Renders the query's physical plan — inside a read transaction
+    /// against the pinned snapshot's data, indexes, and statistics, so
+    /// it is the plan the session would run.
     pub fn explain(&self, q: &Query) -> Result<String, SessionError> {
-        self.engine
-            .explain(q)
-            .map_err(|e| SessionError::Query(e.to_string()))
+        match &self.txn {
+            Txn::Read(pin) => pin.explain(q),
+            _ => self.engine.explain(q),
+        }
+        .map_err(|e| SessionError::Query(e.to_string()))
     }
 
     fn writable(&self, what: &str) -> Result<(), SessionError> {

@@ -316,6 +316,46 @@ fn ddl_is_autocommit_only_and_changes_plans() {
 }
 
 #[test]
+fn explain_in_a_read_transaction_plans_against_the_pinned_epoch() {
+    let (_eng, handle) = server();
+    let mut a = Client::connect(&handle);
+    let mut b = Client::connect(&handle);
+    for i in 0..40 {
+        let dep = ["sales", "admin", "research"][i % 3];
+        b.ok(&format!(
+            "INSERT employee name='w{i:02}', age={i}, depname='{dep}'"
+        ));
+    }
+    let explain = "EXPLAIN scan employee | select depname = 'sales'";
+
+    // A pins the index-free epoch; B's index lands after the pin.
+    a.ok("BEGIN READ");
+    b.ok("CREATE INDEX hash employee depname");
+    let live = b.ok(explain);
+    assert!(
+        live.iter().any(|l| l.contains("IndexSeek")),
+        "the live engine plans the new index: {live:?}"
+    );
+    let pinned = a.ok(explain);
+    assert!(
+        !pinned.iter().any(|l| l.contains("IndexSeek")),
+        "a pinned reader must explain the plan its own epoch can run: {pinned:?}"
+    );
+    assert_eq!(
+        a.ok("QUERY scan employee | select depname = 'sales'").len(),
+        14
+    );
+
+    // Releasing the pin explains against the current epoch again.
+    a.ok("COMMIT");
+    let after = a.ok(explain);
+    assert!(
+        after.iter().any(|l| l.contains("IndexSeek")),
+        "after COMMIT the index is visible: {after:?}"
+    );
+}
+
+#[test]
 fn disconnect_mid_transaction_releases_the_write_token() {
     let (eng, handle) = server();
     {

@@ -1604,12 +1604,6 @@ impl Engine {
         self.metrics.plan_cache_stores.inc();
     }
 
-    /// Lifetime `(hits, misses)` of the plan cache.
-    pub fn plan_cache_counters(&self) -> (u64, u64) {
-        let s = self.plan_cache_stats();
-        (s.hits, s.misses)
-    }
-
     /// Typed lifetime counters of the plan cache. `stores` counts plans
     /// actually inserted (stores dropped for arriving with superseded
     /// statistics are not counted).
@@ -2242,14 +2236,16 @@ mod tests {
         eng.plan_cache_store(fp, epoch, Arc::new(42_u32));
         let cached = eng.plan_cache_lookup(fp, epoch).expect("cached");
         assert_eq!(cached.downcast_ref::<u32>(), Some(&42));
-        assert_eq!(eng.plan_cache_counters(), (1, 1));
+        let c = eng.plan_cache_stats();
+        assert_eq!((c.hits, c.misses), (1, 1));
         // A mutation bumps the epoch; the old entry is unreachable.
         let person = eng.with_db(|db| db.schema().type_id("person").unwrap());
         eng.insert(person, &[("name", Value::str("x")), ("age", Value::Int(1))])
             .unwrap();
         let epoch2 = eng.statistics_epoch();
         assert!(eng.plan_cache_lookup(fp, epoch2).is_none());
-        assert_eq!(eng.plan_cache_counters(), (1, 2));
+        let c = eng.plan_cache_stats();
+        assert_eq!((c.hits, c.misses), (1, 2));
         // A plan stored under a superseded epoch never reaches current
         // readers.
         eng.plan_cache_store(fp, epoch, Arc::new(7_u32));

@@ -88,8 +88,8 @@ impl Predicate {
     /// Bounds of other variants resolve through the total [`Ord`] on
     /// [`Value`] (`Int < Str < Bool`): a `Str`/`Bool` upper bound
     /// admits every integer, a `Str`/`Bool` lower bound admits none.
-    /// The columnar integer kernels and histogram pricing both build on
-    /// this, so they cannot disagree with [`Predicate::matches`].
+    /// Histogram pricing builds on this, so it cannot disagree with
+    /// [`Predicate::matches`].
     pub fn int_range(&self) -> Option<(i64, i64)> {
         let (plo, phi) = self.bounds();
         let lo = match plo {
