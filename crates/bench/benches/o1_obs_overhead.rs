@@ -122,7 +122,7 @@ fn bench(c: &mut Criterion) {
     // The overhead guard: min-of-samples over a batched workload (both
     // plans per iteration), profiled ≤ 1.05× unprofiled. A fresh
     // PlanProfile per iteration is charged to the profiled side — that
-    // allocation is part of what `query_profiled` pays.
+    // allocation is part of what a profiled request pays.
     let (samples, iters) = toposem_bench::sized((15, 40), (10, 20));
     let plain_t = eng.with_parts(|db, indexes| {
         min_time(samples, || {

@@ -532,17 +532,17 @@ mod tests {
     #[test]
     fn report_round_trips() {
         let text = r#"{
-          "bench": "q5_adaptive",
+          "bench": "o1_obs_overhead",
           "short_mode": true,
           "samples": [
-            {"name": "static_plan", "iters": 10, "ns_per_iter": 200000.0},
-            {"name": "corrected_plan", "iters": 10, "ns_per_iter": 8000.0}
+            {"name": "unprofiled_q1_workload", "iters": 10, "ns_per_iter": 200000.0},
+            {"name": "profiled_q1_workload", "iters": 10, "ns_per_iter": 8000.0}
           ]
         }"#;
         let (bench, samples) = parse_report(text).unwrap();
-        assert_eq!(bench, "q5_adaptive");
-        assert_eq!(samples["static_plan"], 200_000.0);
-        assert_eq!(samples["corrected_plan"], 8_000.0);
+        assert_eq!(bench, "o1_obs_overhead");
+        assert_eq!(samples["unprofiled_q1_workload"], 200_000.0);
+        assert_eq!(samples["profiled_q1_workload"], 8_000.0);
     }
 
     #[test]

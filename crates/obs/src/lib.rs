@@ -23,25 +23,15 @@
 //!    retains the full operator profile for offenders, and a
 //!    [`worst_plans`](TraceRing::worst_plans) q-error watchdog over the
 //!    retained profiles.
-//! 4. **[`feedback`]** — the closed loop: a [`SelectivityFeedback`]
-//!    cache of observed-vs-estimated cardinality corrections, recorded
-//!    from every profiled execution and consumed by the planner's cost
-//!    model (clamped, epoch-scoped, with a re-plan generation that
-//!    invalidates cached plans when a correction drifts).
 //!
 //! Everything here is safe to call from hot paths: recording is a
 //! handful of relaxed atomic adds and a monotonic clock read; the only
 //! lock is the trace ring's mutex, taken once per query.
 
-pub mod feedback;
 pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use feedback::{
-    FeedbackKey, FeedbackObservation, FeedbackStats, PredClass, SelectivityFeedback,
-    MIN_SIGNIFICANT_ROWS, REPLAN_FACTOR,
-};
 pub use metrics::{
     Counter, EngineMetrics, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, MvccStats,
     PlanCacheStats, QueryMetrics, RecoveryStats, ReplicationMetrics, ReplicationStats,

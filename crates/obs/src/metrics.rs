@@ -12,8 +12,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::feedback::{FeedbackStats, SelectivityFeedback};
-
 /// Monotonic event counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -91,8 +89,8 @@ pub const LATENCY_NS_BOUNDS: &[u64] = &[
 pub const SIZE_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
 /// Upper bounds for the planner q-error histogram, in hundredths (a
-/// recorded value of `q × 100`, so `le="150"` means q ≤ 1.5). A healthy
-/// feedback loop concentrates mass in the first two buckets.
+/// recorded value of `q × 100`, so `le="150"` means q ≤ 1.5). Accurate
+/// statistics concentrate mass in the first two buckets.
 pub const QERROR_X100_BOUNDS: &[u64] = &[110, 150, 200, 400, 1_000, 10_000, 100_000, 1_000_000];
 
 /// Fixed-bucket histogram. Buckets are non-cumulative atomics; the
@@ -297,8 +295,7 @@ pub struct EngineMetrics {
     pub txn_commits: Counter,
     /// Transactions rolled back.
     pub txn_aborts: Counter,
-    /// Planned queries executed (`query_planned*`, `query_profiled*`,
-    /// `explain_analyze`).
+    /// Planned queries executed, every `QueryRequest` route included.
     pub queries_planned: Counter,
     /// Planned queries whose total time crossed the slow-query
     /// threshold.
@@ -353,10 +350,6 @@ pub struct EngineMetrics {
     /// Replication-layer metrics, shared with a shipper (primary) or
     /// follower attached to this engine.
     pub repl: Arc<ReplicationMetrics>,
-    /// Selectivity-feedback cache, shared with the statistics layer
-    /// (same dependency-arrow trick as [`WalMetrics`]: storage holds it
-    /// through obs without obs depending on storage).
-    pub feedback: Arc<SelectivityFeedback>,
 }
 
 impl Default for EngineMetrics {
@@ -392,7 +385,6 @@ impl Default for EngineMetrics {
             reply_encode_ns: Histogram::new(LATENCY_NS_BOUNDS),
             wal: Arc::new(WalMetrics::default()),
             repl: Arc::new(ReplicationMetrics::default()),
-            feedback: Arc::new(SelectivityFeedback::new()),
         }
     }
 }
@@ -467,7 +459,6 @@ impl EngineMetrics {
                 reply_bytes: self.reply_bytes.get(),
             },
             reply_encode_ns: self.reply_encode_ns.snapshot(),
-            feedback: self.feedback.stats(),
         }
     }
 }
@@ -633,8 +624,6 @@ pub struct MetricsSnapshot {
     pub sessions: SessionStats,
     /// Reply encode duration histogram (ns).
     pub reply_encode_ns: HistogramSnapshot,
-    /// Selectivity-feedback counters.
-    pub feedback: FeedbackStats,
 }
 
 impl MetricsSnapshot {
@@ -792,36 +781,11 @@ impl MetricsSnapshot {
             "Shipping rounds that failed",
             self.repl.ship_errors,
         );
-        counter(
-            "toposem_feedback_corrections_applied",
-            "Non-neutral selectivity corrections applied during planning",
-            self.feedback.corrections_applied,
-        );
-        counter(
-            "toposem_feedback_observations_total",
-            "Observed-vs-estimated cardinality samples folded into the feedback cache",
-            self.feedback.observations,
-        );
-        counter(
-            "toposem_feedback_replans_total",
-            "Corrections that crossed the re-plan threshold and invalidated cached plans",
-            self.feedback.replans,
-        );
         {
             let _ = writeln!(
                 out,
                 "# HELP toposem_stats_epoch Current statistics epoch\n# TYPE toposem_stats_epoch gauge\ntoposem_stats_epoch {}",
                 self.stats_epoch
-            );
-            let _ = writeln!(
-                out,
-                "# HELP toposem_feedback_generation Current feedback re-plan generation\n# TYPE toposem_feedback_generation gauge\ntoposem_feedback_generation {}",
-                self.feedback.generation
-            );
-            let _ = writeln!(
-                out,
-                "# HELP toposem_feedback_entries Distinct keys with a learned correction\n# TYPE toposem_feedback_entries gauge\ntoposem_feedback_entries {}",
-                self.feedback.entries
             );
             let _ = writeln!(
                 out,
@@ -943,8 +907,6 @@ mod tests {
         assert!(text.contains("toposem_plan_cache_hits_total 3"));
         assert!(text.contains("# TYPE toposem_planner_qerror histogram"));
         assert!(text.contains("toposem_planner_qerror_bucket{le=\"150\"} 1"));
-        assert!(text.contains("toposem_feedback_corrections_applied 0"));
-        assert!(text.contains("toposem_feedback_generation 0"));
         assert!(text.contains("# TYPE toposem_wal_fsync_latency_ns histogram"));
         assert!(text.contains("toposem_wal_fsync_latency_ns_count 1"));
         assert!(text.contains("toposem_wal_fsync_latency_ns_sum 12345"));

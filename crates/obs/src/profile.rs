@@ -8,7 +8,7 @@
 //!
 //! The planner then zips the raw counters with its cost-model estimates
 //! into an [`OpProfile`] tree: estimated vs actual rows, q-error, and
-//! inclusive wall time per node — the data behind `explain_analyze`.
+//! inclusive wall time per node — the data behind `EXPLAIN ANALYZE`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -125,20 +125,15 @@ impl PlanProfile {
     }
 }
 
-/// One node of the annotated `explain_analyze` tree: the operator
+/// One node of the annotated `EXPLAIN ANALYZE` tree: the operator
 /// description zipped with its estimate and observed execution.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OpProfile {
     /// Operator description, e.g. `HashJoin [worksfor] on (dept)`.
     pub label: String,
-    /// Planner-estimated output rows, with any feedback correction
-    /// applied — the number the plan was actually priced with.
+    /// Planner-estimated output rows — the number the plan was priced
+    /// with.
     pub est_rows: f64,
-    /// Feedback correction folded into `est_rows` (1.0 when the
-    /// estimate is purely static). The raw static estimate is
-    /// `est_rows / corr`; rendering shows `est≈raw×corr` when the
-    /// factor is non-neutral so feedback-steered plans are visible.
-    pub corr: f64,
     /// Observed execution counters.
     pub stats: NodeSnapshot,
     /// Operator-specific detail (`build`, `probe`, `partitions`,
@@ -167,18 +162,11 @@ impl OpProfile {
     fn render_into(&self, depth: usize, out: &mut String) {
         use std::fmt::Write;
         let pad = "  ".repeat(depth);
-        // `est≈static×corr`: the factored form appears only when a
-        // feedback correction steered the estimate, so a plain `est≈n`
-        // still reads as "purely static estimate".
-        let est = if (self.corr - 1.0).abs() > 5e-3 && self.corr > 0.0 {
-            format!("{:.1}×{:.3}", self.est_rows / self.corr, self.corr)
-        } else {
-            format!("{:.1}", self.est_rows)
-        };
         let _ = write!(
             out,
-            "{pad}{}  (est≈{est}, act={}, q={:.2}, {})",
+            "{pad}{}  (est≈{:.1}, act={}, q={:.2}, {})",
             self.label,
+            self.est_rows,
             self.stats.rows,
             self.q_error(),
             fmt_ns(self.stats.wall_ns),
@@ -286,7 +274,6 @@ mod tests {
         let mut prof = OpProfile {
             label: "SeqScan person".into(),
             est_rows: 100.0,
-            corr: 1.0,
             stats: NodeSnapshot {
                 rows: 100,
                 wall_ns: 1_500,
@@ -298,7 +285,6 @@ mod tests {
         prof.children.push(OpProfile {
             label: "child".into(),
             est_rows: 1.0,
-            corr: 1.0,
             stats: NodeSnapshot::default(),
             detail: vec![],
             children: vec![],
@@ -312,25 +298,5 @@ mod tests {
         assert!(text.contains("[scanned=100]"));
         assert!(text.starts_with("SeqScan person"));
         assert!(text.contains("\n  child"));
-    }
-
-    #[test]
-    fn render_factors_feedback_corrections() {
-        let prof = OpProfile {
-            label: "IndexRangeSeek person.age".into(),
-            est_rows: 40.0,
-            corr: 0.01,
-            stats: NodeSnapshot {
-                rows: 40,
-                ..NodeSnapshot::default()
-            },
-            detail: vec![],
-            children: vec![],
-        };
-        let text = prof.render();
-        // Corrected estimate shown as static×corr: 4000 × 0.01 = 40.
-        assert!(text.contains("est≈4000.0×0.010"), "{text}");
-        // q-error is judged against the corrected estimate.
-        assert!(text.contains("q=1.00"), "{text}");
     }
 }

@@ -66,9 +66,9 @@ pub struct QueryTrace {
     pub cache_hit: bool,
     /// Whether total time crossed the slow-query threshold.
     pub slow: bool,
-    /// Worst per-operator q-error observed for this execution (≥ 1.0;
-    /// 0.0 when no cardinality comparison ran, e.g. feedback disabled
-    /// or commit events).
+    /// Worst per-operator q-error observed for this execution (≥ 1.0
+    /// for every planned query; 0.0 for commit events, which run no
+    /// plan).
     pub max_q: f64,
     /// Token of the enclosing explicit transaction, if any; commits
     /// attribute their `commit_ns` back to entries sharing the token.
@@ -76,8 +76,8 @@ pub struct QueryTrace {
     /// Session the query ran under, if any (stamped from the pushing
     /// thread's [`current_session`]).
     pub session: Option<u64>,
-    /// Full operator profile — retained for slow queries and explicit
-    /// `query_profiled` / `explain_analyze` runs.
+    /// Full operator profile — retained for slow queries and profiled
+    /// requests.
     pub profile: Option<Arc<QueryProfile>>,
 }
 
@@ -242,7 +242,6 @@ mod tests {
                 root: OpProfile {
                     label: "SeqScan".into(),
                     est_rows: 1.0,
-                    corr: 1.0,
                     stats: Default::default(),
                     detail: Vec::new(),
                     children: Vec::new(),

@@ -8,7 +8,7 @@
 
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
-use toposem_planner::ProfiledExecution;
+use toposem_planner::{QueryRequest, QueryTarget};
 use toposem_storage::{Engine, Query};
 
 fn main() {
@@ -49,7 +49,9 @@ fn main() {
     let q = Query::scan(employee)
         .join(Query::scan(department))
         .select(location, Value::str("utrecht"));
-    println!("{}", eng.explain_analyze(&q).unwrap());
+    // EXPLAIN ANALYZE: the ordered, profiled route a session runs.
+    let resp = eng.run(&QueryRequest::new(q).ordered().profiled()).unwrap();
+    println!("{}", resp.profile.unwrap().render());
     println!("--- metrics snapshot (Prometheus text format) ---");
     print!("{}", eng.metrics_prometheus());
 }

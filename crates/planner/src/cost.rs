@@ -95,7 +95,7 @@ pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
             // Each equality-bound prefix attribute narrows by its own
             // distinct count (independence assumption); a range suffix
             // on the next key attribute narrows further by the range's
-            // interpolated selectivity. Never below one tuple's worth.
+            // selectivity. Never below one tuple's worth.
             let prefix_sel: f64 = attrs
                 .iter()
                 .take(prefix.len())
@@ -154,28 +154,22 @@ pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
             }
         }
         Physical::HashJoin {
-            build,
-            probe,
-            keys,
-            ty,
+            build, probe, keys, ..
         } => {
             let b = estimate(build, stats);
             let p = estimate(probe, stats);
-            let rows = stats.join_cardinality(*ty, build.ty(), b.rows, probe.ty(), p.rows, keys);
+            let rows = stats.join_cardinality(build.ty(), b.rows, probe.ty(), p.rows, keys);
             Estimate {
                 rows,
                 cost: b.cost + p.cost + b.rows + (HASH_PROBE_COST * p.rows + rows),
             }
         }
         Physical::MergeJoin {
-            left,
-            right,
-            keys,
-            ty,
+            left, right, keys, ..
         } => {
             let l = estimate(left, stats);
             let r = estimate(right, stats);
-            let rows = stats.join_cardinality(*ty, left.ty(), l.rows, right.ty(), r.rows, keys);
+            let rows = stats.join_cardinality(left.ty(), l.rows, right.ty(), r.rows, keys);
             // Both inputs arrive sorted, so the merge touches each input
             // tuple once — no hash build, no per-probe overhead.
             Estimate {
@@ -211,8 +205,8 @@ pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
     }
 }
 
-/// Selectivity of an explicit interval, via the statistics layer's
-/// min/max interpolation (expressed as the equivalent [`Predicate`]).
+/// Selectivity of an explicit interval, priced by the statistics layer
+/// (expressed as the equivalent [`Predicate`]).
 fn range_selectivity(
     ty: TypeId,
     attr: AttrId,

@@ -17,8 +17,8 @@
 //!    is always an instance set of a declared entity type.
 //! 2. **[`cost`]** — cardinality/cost estimation over the engine's
 //!    [`toposem_storage::Statistics`] layer (per-type cardinalities,
-//!    per-attribute distinct counts feeding join cardinalities, min/max
-//!    spans for range selectivity), driving access-path selection,
+//!    per-attribute distinct counts feeding join cardinalities, equi-depth
+//!    histograms for integer ranges), driving access-path selection,
 //!    build-side choice, and join reordering.
 //! 3. **[`physical`] / [`exec`]** — *property-aware* physical planning:
 //!    every operator advertises its output sort order, each logical node
@@ -128,8 +128,7 @@ pub use request::{
 /// Planned execution of sanctioned queries — implemented for
 /// [`Engine`], giving it the `query_planned` entry point.
 ///
-/// **Deprecation note.** This trait (with [`ProfiledExecution`])
-/// predates the unified [`QueryRequest`] /
+/// **Deprecation note.** This trait predates the unified [`QueryRequest`] /
 /// [`QueryTarget`] API and survives as a thin shim over it — same plan
 /// cache, same trace, same results. New code should build a
 /// [`QueryRequest`] and call [`QueryTarget::run`]; these methods remain
@@ -164,33 +163,6 @@ pub trait PlannedExecution {
     /// Renders the chosen physical plan with cost estimates and the plan
     /// cache's hit/miss counters.
     fn explain(&self, q: &Query) -> Result<String, QueryError>;
-}
-
-/// Profiled execution — `EXPLAIN ANALYZE` for the planned path,
-/// implemented for [`Engine`].
-///
-/// **Deprecation note.** Shim over [`QueryRequest::profiled`] +
-/// [`QueryTarget::run`]; see [`PlannedExecution`].
-///
-/// Profiling never changes execution: a profiled run produces a result
-/// bit-identical to [`PlannedExecution::query_planned`], it just also
-/// returns the annotated [`QueryProfile`] tree with estimated vs actual
-/// rows, per-node q-error, and inclusive wall time.
-pub trait ProfiledExecution {
-    /// Plans, executes, and profiles `q`, returning its entity type,
-    /// result relation, and the query's [`QueryProfile`]. Shares the
-    /// plan cache (and its hit/miss accounting) with
-    /// [`PlannedExecution::query_planned`].
-    fn query_profiled(
-        &self,
-        q: &Query,
-    ) -> Result<(TypeId, Relation, Arc<QueryProfile>), QueryError>;
-
-    /// Executes `q` and renders its plan annotated with *actuals*: per
-    /// operator the estimated and observed rows, the q-error of the
-    /// estimate, inclusive wall time, and operator detail (build/probe
-    /// sizes, keys touched), plus a phase-timing footer.
-    fn explain_analyze(&self, q: &Query) -> Result<String, QueryError>;
 }
 
 /// A cache entry: the physical plan plus the canonical rendering of the
@@ -249,16 +221,12 @@ fn with_planned_profiled<R>(
     };
     // Epoch before statistics: a mutation in between invalidates the
     // epoch, so a stale plan can be cached but never *stored* as
-    // current (plan_cache_store re-checks the epoch). The plan epoch
-    // folds in the feedback generation: when this execution's own
-    // observations push a correction past the re-plan threshold, the
-    // generation bumps, the plan stored below becomes stale, and the
-    // next execution replans against the corrected statistics. On the
-    // snapshot route the *snapshot's* epoch is used, so a pinned
-    // (older) snapshot simply misses the cache instead of poisoning it.
+    // current (plan_cache_store re-checks the epoch). On the snapshot
+    // route the *snapshot's* epoch is used, so a pinned (older)
+    // snapshot simply misses the cache instead of poisoning it.
     let epoch = match &snap {
-        Some(s) => s.stats_epoch() + eng.feedback().generation(),
-        None => eng.plan_epoch(),
+        Some(s) => s.stats_epoch(),
+        None => eng.statistics_epoch(),
     };
     let query_repr = format!("{q:?}");
     let fingerprint = Query::fingerprint_str(&query_repr);
@@ -374,8 +342,8 @@ struct ObservedQuery {
 }
 
 /// Post-execution bookkeeping: query metrics, the slow-query check, the
-/// feedback observations, the trace-ring entry, and — when requested or
-/// slow — the annotated profile tree. Runs *after* `with_parts`
+/// worst q-error, the trace-ring entry, and — when requested or slow —
+/// the annotated profile tree. Runs *after* `with_parts`
 /// returned, so re-acquiring the engine lock for label rendering is
 /// safe.
 fn observe_query(
@@ -396,24 +364,15 @@ fn observe_query(
     // Statistics the execution actually ran with: the snapshot's on the
     // MVCC route (never the live engine's — a concurrent writer may
     // already be in another epoch), the engine's on the locked route.
-    let stats_in_use = || match snap {
+    let stats = match snap {
         Some(s) => s.statistics(),
         None => eng.statistics(),
     };
-    // Compare estimates with actuals *before* folding the observations
-    // into the feedback cache: the profile and the q-error histogram
-    // must reflect the estimates this execution actually ran with, and
-    // a correction learned from run N may only steer run N+1.
-    let feedback = (eng.feedback().enabled()).then(|| {
-        let stats = stats_in_use();
-        let (max_q, observations) = profile::collect_feedback(physical, &stats, profile);
-        metrics
-            .planner_qerror
-            .record((max_q * 100.0).round() as u64);
-        (stats.epoch(), max_q, observations)
-    });
+    let max_q = profile::max_q_error(physical, &stats, profile);
+    metrics
+        .planner_qerror
+        .record((max_q * 100.0).round() as u64);
     let assembled = (want_profile || slow).then(|| {
-        let stats = stats_in_use();
         let root = match snap {
             Some(s) => profile::build_op_profile(physical, s.db(), &stats, profile),
             None => eng.with_db(|db| profile::build_op_profile(physical, db, &stats, profile)),
@@ -437,14 +396,11 @@ fn observe_query(
         rows: obs.rows,
         cache_hit: obs.cache_hit,
         slow,
-        max_q: feedback.as_ref().map_or(0.0, |(_, q, _)| *q),
+        max_q,
         txn: eng.active_txn_token(),
         session: toposem_obs::current_session(),
         profile: assembled.clone(),
     });
-    if let Some((epoch, _, observations)) = feedback {
-        eng.feedback().observe(epoch, &observations);
-    }
     assembled
 }
 
@@ -494,26 +450,6 @@ fn render_explain(
         cache.hits, cache.misses
     ));
     Ok(out)
-}
-
-impl ProfiledExecution for Engine {
-    fn query_profiled(
-        &self,
-        q: &Query,
-    ) -> Result<(TypeId, Relation, Arc<QueryProfile>), QueryError> {
-        let resp = self.run(&QueryRequest::new(q.clone()).profiled())?;
-        Ok((
-            resp.ty,
-            resp.rows.set().expect("plain request yields Set"),
-            resp.profile
-                .expect("want_profile always assembles the profile"),
-        ))
-    }
-
-    fn explain_analyze(&self, q: &Query) -> Result<String, QueryError> {
-        let (_, _, qp) = self.query_profiled(q)?;
-        Ok(qp.render())
-    }
 }
 
 #[cfg(test)]

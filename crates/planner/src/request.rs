@@ -9,9 +9,12 @@
 //! can answer queries implements [`QueryTarget`] — the live [`Engine`],
 //! a pinned [`EngineSnapshot`] (via [`PinnedSnapshot`]), and a
 //! replication follower's read-only handle. The old `PlannedExecution`
-//! and `ProfiledExecution` traits survive as thin shims over this path,
-//! so every call site shares one plan cache, one trace ring, and one
-//! metrics pipeline.
+//! trait survives as a thin shim over this path, so every call site
+//! shares one plan cache, one trace ring, and one metrics pipeline.
+//!
+//! `EXPLAIN ANALYZE` is an ordered, profiled request — the route a
+//! session runs — so the profile times the execution a client gets,
+//! not the insertion of every row into a result `BTreeSet`.
 //!
 //! ```
 //! use toposem_core::{employee_schema, Intension};
@@ -39,9 +42,10 @@
 //! assert_eq!(resp.ty, employee);
 //! assert_eq!(resp.rows.len(), 1);
 //!
-//! // Same pipeline, different switches: profiled and ordered.
-//! let resp = eng.run(&QueryRequest::new(q).profiled()).unwrap();
-//! assert!(resp.profile.is_some());
+//! // Same pipeline, different switches: ordered and profiled.
+//! let resp = eng.run(&QueryRequest::new(q).ordered().profiled()).unwrap();
+//! assert_eq!(resp.rows.len(), 1);
+//! assert!(resp.profile.unwrap().render().contains("act=1"));
 //! ```
 
 use std::sync::Arc;

@@ -1,9 +1,11 @@
-//! `explain_analyze` / `query_profiled` correctness: observed actuals
-//! must equal ground truth (the naive interpreter), profiling must not
-//! perturb results (bit-identical), q-error must collapse to 1.0 when
-//! statistics are fresh over uniform data, and the WAL's latency/batch
-//! histograms must surface in the Prometheus export after a
-//! commit-heavy workload.
+//! `EXPLAIN ANALYZE` (an ordered, profiled request) correctness:
+//! observed actuals must equal ground truth (the naive interpreter),
+//! profiling must not perturb results (bit-identical), q-error must
+//! collapse to 1.0 when statistics are fresh over uniform data, the
+//! q-error watchdog must rank a misestimate first, commits must
+//! attribute their time back to the transaction's queries, and the
+//! WAL's latency/batch histograms and the q-error histogram must
+//! surface in the Prometheus export.
 
 use std::fs;
 use std::path::PathBuf;
@@ -11,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
-use toposem_planner::{PlannedExecution, ProfiledExecution, QueryRequest, QueryTarget};
+use toposem_planner::{PlannedExecution, QueryRequest, QueryResponse, QueryTarget};
 use toposem_storage::{Engine, Query};
 use toposem_wal::{FlushPolicy, Wal, WalConfig};
 
@@ -91,6 +93,13 @@ fn query_suite(eng: &Engine) -> Vec<Query> {
     ]
 }
 
+/// `EXPLAIN ANALYZE`: `q` run down the ordered, profiled route a session
+/// takes.
+fn analyze(eng: &Engine, q: &Query) -> QueryResponse {
+    eng.run(&QueryRequest::new(q.clone()).ordered().profiled())
+        .unwrap()
+}
+
 /// The actual row count the root operator reports equals the naive
 /// interpreter's result cardinality, and the profiled result set is the
 /// naive result.
@@ -138,8 +147,9 @@ fn q_error_is_unity_with_fresh_stats_on_uniform_data() {
     let employee = s.type_id("employee").unwrap();
     let age = s.attr_id("age").unwrap();
     let q = Query::scan(employee).select(age, Value::Int(42));
-    let (_, rel, qp) = eng.query_profiled(&q).unwrap();
-    assert_eq!(rel.len(), 10);
+    let resp = analyze(&eng, &q);
+    let qp = resp.profile.unwrap();
+    assert_eq!(resp.rows.len(), 10);
     assert_eq!(qp.root.stats.rows, 10);
     let q_err = qp.root.q_error();
     assert!(
@@ -149,7 +159,7 @@ fn q_error_is_unity_with_fresh_stats_on_uniform_data() {
     );
 }
 
-/// `explain_analyze` on the q3-shaped join renders every operator line
+/// `EXPLAIN ANALYZE` on the q3-shaped join renders every operator line
 /// with estimated rows, actual rows, q-error, and wall time, plus the
 /// phase footer.
 #[test]
@@ -162,7 +172,7 @@ fn explain_analyze_annotates_every_operator() {
     let q = Query::scan(employee)
         .join(Query::scan(department))
         .select(location, Value::str("utrecht"));
-    let text = eng.explain_analyze(&q).unwrap();
+    let text = analyze(&eng, &q).profile.unwrap().render();
     let mut op_lines = 0;
     for line in text.lines() {
         if line.starts_with("Phases:") {
@@ -302,4 +312,147 @@ fn wal_histograms_surface_in_prometheus_export() {
     assert!(snap.statistics.types_collected >= 5);
     assert!(snap.statistics.collect_ns.count >= 1);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Commits attribute their WAL time back to the queries of the
+/// enclosing transaction; only query-less transactions fall back to a
+/// standalone fingerprint-0 trace entry.
+#[test]
+fn commit_time_attributed_to_transaction_queries() {
+    let dir = temp_dir("attr");
+    let cfg = WalConfig {
+        flush: FlushPolicy::PerCommit,
+        segment_bytes: 1 << 20,
+    };
+    let eng = Engine::durable(fresh_db(), Wal::create(&dir, cfg).unwrap()).unwrap();
+    let s = eng.with_db(|db| db.schema().clone());
+    let employee = s.type_id("employee").unwrap();
+    let name = s.attr_id("name").unwrap();
+    for i in 0..4 {
+        eng.insert(
+            employee,
+            &[
+                ("name", Value::str(&format!("a{i}"))),
+                ("age", Value::Int(30 + i)),
+                ("depname", Value::str("sales")),
+            ],
+        )
+        .unwrap();
+    }
+    let standalone = |eng: &Engine| {
+        eng.query_trace()
+            .recent()
+            .iter()
+            .filter(|t| t.fingerprint == 0)
+            .count()
+    };
+    // Only explicit commits trace; the autocommit loads above do not.
+    let fp0_before = standalone(&eng);
+
+    // A transaction with two queries: its commit time lands on them.
+    eng.begin().unwrap();
+    let token = eng.active_txn_token().unwrap();
+    let q1 = Query::scan(employee).select(name, Value::str("a1"));
+    let q2 = Query::scan(employee).select(name, Value::str("a2"));
+    eng.query_planned(&q1).unwrap();
+    eng.query_planned(&q2).unwrap();
+    eng.insert(
+        employee,
+        &[
+            ("name", Value::str("txn")),
+            ("age", Value::Int(50)),
+            ("depname", Value::str("sales")),
+        ],
+    )
+    .unwrap();
+    eng.commit().unwrap();
+
+    let attributed: Vec<_> = eng
+        .query_trace()
+        .recent()
+        .into_iter()
+        .filter(|t| t.txn == Some(token))
+        .collect();
+    assert_eq!(attributed.len(), 2, "both queries carry the txn token");
+    assert!(
+        attributed.iter().all(|t| t.commit_ns > 0),
+        "commit time distributed across the txn's queries: {attributed:?}"
+    );
+    assert_eq!(
+        standalone(&eng),
+        fp0_before,
+        "an attributed commit adds no standalone entry"
+    );
+
+    // A query-less transaction still traces its commit somewhere.
+    eng.begin().unwrap();
+    eng.insert(
+        employee,
+        &[
+            ("name", Value::str("quiet")),
+            ("age", Value::Int(51)),
+            ("depname", Value::str("sales")),
+        ],
+    )
+    .unwrap();
+    eng.commit().unwrap();
+    assert_eq!(
+        standalone(&eng),
+        fp0_before + 1,
+        "a query-less commit falls back to a standalone entry"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The q-error watchdog surfaces the worst retained plan first. A range
+/// over the string attribute `name` has no histogram and takes the 1/3
+/// default: an estimate near 1 000 of the 3 000 rows, where none match.
+#[test]
+fn worst_plans_ranks_the_misestimated_query_highest() {
+    let eng = loaded_engine(3_000);
+    let s = eng.with_db(|db| db.schema().clone());
+    let employee = s.type_id("employee").unwrap();
+    let name = s.attr_id("name").unwrap();
+    let age = s.attr_id("age").unwrap();
+
+    // Run the badly estimated query first, then a well-estimated one —
+    // the watchdog must rank by q-error, not recency.
+    let miss = Query::scan(employee).select_between(name, Value::str("x"), Value::str("y"));
+    assert_eq!(analyze(&eng, &miss).rows.len(), 0);
+    analyze(&eng, &Query::scan(employee).select(age, Value::Int(50)));
+
+    let worst = eng.query_trace().worst_plans(2);
+    assert_eq!(worst.len(), 2, "profiled runs retain their profiles");
+    assert!(
+        worst[0].max_q > 100.0 && worst[1].max_q < 2.0,
+        "watchdog ranks the misestimate first: q0={}, q1={}",
+        worst[0].max_q,
+        worst[1].max_q
+    );
+    assert!(worst[0].max_q >= worst[1].max_q);
+}
+
+/// Every planned execution, profiled or not, records its worst q-error,
+/// and the histogram renders in the Prometheus export.
+#[test]
+fn prometheus_exports_qerror_family() {
+    let eng = loaded_engine(900);
+    let s = eng.with_db(|db| db.schema().clone());
+    let employee = s.type_id("employee").unwrap();
+    let age = s.attr_id("age").unwrap();
+    let q = Query::scan(employee).select_between(age, Value::Int(0), Value::Int(100));
+    eng.query_planned(&q).unwrap();
+    eng.query_planned(&q).unwrap();
+
+    let snap = eng.metrics_snapshot();
+    assert_eq!(snap.planner_qerror.count, 2, "every execution records q");
+
+    let text = eng.metrics_prometheus();
+    for metric in [
+        "toposem_planner_qerror_bucket",
+        "toposem_planner_qerror_sum",
+        "toposem_planner_qerror_count",
+    ] {
+        assert!(text.contains(metric), "missing {metric} in export:\n{text}");
+    }
 }

@@ -1,33 +1,16 @@
 //! First-execution planning under equi-depth histograms: a skewed
-//! distribution that defeats min/max interpolation must be priced
-//! correctly by the histogram alone — no profiled execution, no
-//! feedback correction — so the very first `explain` already shows the
-//! right access path. The counterfactual leg (histograms toggled off)
-//! pins that it really is the histogram doing the work, not the cost
-//! model accidentally agreeing.
-//!
-//! This suite runs in its own process, so the process-wide histogram
-//! toggle cannot leak into other test binaries; within the binary the
-//! toggling test and its peers serialise on a shared lock.
-
-use std::sync::Mutex;
+//! distribution whose [min, max] span is stretched by one outlier must
+//! be priced by where the values lie, so the very first `explain` —
+//! before any execution — already shows the right access path, and a
+//! range over the outlier alone keeps the index.
 
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, DomainSpec, Value};
 use toposem_planner::PlannedExecution;
-use toposem_storage::{set_histograms_enabled, Engine, Query};
-
-/// Serialises tests that read or flip the process-wide histogram
-/// toggle (poison-tolerant: an assertion failure elsewhere must not
-/// cascade).
-static HIST_TOGGLE: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    HIST_TOGGLE.lock().unwrap_or_else(|p| p.into_inner())
-}
+use toposem_storage::{Engine, Query};
 
 /// The employee schema over an unbounded age domain, so the outlier
-/// that stretches the min/max span is admissible.
+/// that stretches the [min, max] span is admissible.
 fn fresh_db() -> Database {
     let mut catalog = DomainCatalog::new();
     catalog
@@ -50,10 +33,9 @@ fn fresh_db() -> Database {
 }
 
 /// `n - 1` employees with ages dense in `0..100` plus one outlier at
-/// `tail`: under pure min/max interpolation the dense range `[0, 100]`
-/// looks vanishingly selective against the stretched span, so the
-/// ordered index on `age` is the statically attractive — and wrong —
-/// access path.
+/// `tail`: priced by its share of the stretched span, the dense range
+/// `[0, 100]` would look vanishingly selective and make the ordered
+/// index on `age` the attractive — and wrong — access path.
 fn skewed_engine(n: i64, tail: i64) -> Engine {
     let eng = Engine::new(fresh_db());
     let s = eng.with_db(|db| db.schema().clone());
@@ -84,21 +66,12 @@ fn range(eng: &Engine, lo: i64, hi: i64) -> Query {
 }
 
 /// The acceptance scenario: the hot range covers all but one row, and
-/// the FIRST `explain` — fresh engine, zero executions, zero feedback
-/// observations — already plans the sequential scan. With histograms
-/// toggled off, an identically-built engine mispicks the range seek,
-/// proving the histogram is what fixed the estimate.
+/// the FIRST `explain` — fresh engine, zero executions — already plans
+/// the sequential scan.
 #[test]
 fn skewed_hot_range_plans_a_scan_on_the_first_execution() {
-    let _g = lock();
-    set_histograms_enabled(true);
-
     let eng = skewed_engine(3_000, 100_000);
-    assert_eq!(
-        eng.feedback().stats().observations,
-        0,
-        "nothing may have trained the estimate"
-    );
+    assert_eq!(eng.metrics_snapshot().queries.planned, 0, "nothing has run");
     let q = range(&eng, 0, 100);
     let plan = eng.explain(&q).unwrap();
     assert!(
@@ -107,17 +80,6 @@ fn skewed_hot_range_plans_a_scan_on_the_first_execution() {
     );
     let (_, rel) = eng.with_db(|db| q.execute(db)).unwrap();
     assert_eq!(rel.len(), 2_999, "every row but the outlier matches");
-
-    // Counterfactual: same data, histogram pricing off, min/max
-    // interpolation mispicks the seek.
-    set_histograms_enabled(false);
-    let naive = skewed_engine(3_000, 100_000);
-    let plan = naive.explain(&range(&naive, 0, 100)).unwrap();
-    set_histograms_enabled(true);
-    assert!(
-        plan.contains("IndexRangeSeek"),
-        "without histograms the stretched span must mispick the seek:\n{plan}"
-    );
 }
 
 /// The flip side: a range the histogram prices as genuinely selective
@@ -126,9 +88,6 @@ fn skewed_hot_range_plans_a_scan_on_the_first_execution() {
 /// model.
 #[test]
 fn genuinely_selective_range_keeps_the_index_seek() {
-    let _g = lock();
-    set_histograms_enabled(true);
-
     let eng = skewed_engine(3_000, 100_000);
     let q = range(&eng, 5_000, 200_000);
     let plan = eng.explain(&q).unwrap();

@@ -18,35 +18,12 @@
 
 use proptest::prelude::*;
 use toposem_core::{employee_schema, Intension, TypeId};
-use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Relation, Value};
+use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
 use toposem_planner::{
-    execute, lower_and_rewrite, plan_with, PlannedExecution, PlannerOptions, ProfiledExecution,
+    execute, lower_and_rewrite, plan_with, PlannedExecution, PlannerOptions, QueryRequest,
+    QueryTarget,
 };
-use toposem_storage::{cmp_by_keys, Engine, Predicate, Query, QueryError, SortDir};
-
-/// With `TOPOSEM_PROFILE` set (the nightly profiling leg), planned
-/// execution routes through `query_profiled`, so the oracle also pins
-/// profiled == naive across every generated plan shape; unset, plain
-/// planned execution — the default PR leg.
-///
-/// With `TOPOSEM_FEEDBACK` set (the nightly feedback leg), every query
-/// runs profiled *twice*: the first execution records observed-vs-
-/// estimated cardinalities into the engine's selectivity-feedback cache
-/// (possibly invalidating the cached plan and flipping the access
-/// path), and the oracle compares the *second* — feedback-steered —
-/// result against naive. Feedback may change plans, never results.
-fn run_planned(eng: &Engine, q: &Query) -> Result<(TypeId, Relation), QueryError> {
-    let on =
-        |name: &str| std::env::var(name).is_ok_and(|v| v.trim() != "0" && !v.trim().is_empty());
-    if on("TOPOSEM_FEEDBACK") {
-        eng.query_profiled(q)?;
-        eng.query_profiled(q).map(|(ty, rel, _)| (ty, rel))
-    } else if on("TOPOSEM_PROFILE") {
-        eng.query_profiled(q).map(|(ty, rel, _)| (ty, rel))
-    } else {
-        eng.query_planned(q)
-    }
-}
+use toposem_storage::{cmp_by_keys, Engine, Predicate, Query, SortDir};
 
 const NAMES: [&str; 5] = ["ann", "bob", "carol", "dave", "eve"];
 const DEPS: [&str; 3] = ["sales", "research", "admin"];
@@ -271,14 +248,24 @@ fn grow_query(db: &Database, decisions: &[(u8, u8, u8)]) -> Query {
 
 /// Planned execution agrees with the naive interpreter on the result
 /// *sequence* semantics too: the ordered outputs contain the same
-/// tuples, and the planned sequence ascends by the root sort keys.
+/// tuples, and the planned sequence ascends by the root sort keys. The
+/// planned side takes the ordered, profiled route — the one a session
+/// and `EXPLAIN ANALYZE` run — so profiling is on the hook as well.
 fn assert_ordered_agreement(eng: &Engine, q: &Query) -> Result<(), TestCaseError> {
     let naive = eng
         .with_db(|db| q.execute_ordered(db))
         .expect("generated query is sanctioned");
-    let planned = eng
-        .query_planned_ordered(q)
+    let resp = eng
+        .run(&QueryRequest::new(q.clone()).ordered().profiled())
         .expect("planner accepts sanctioned queries");
+    prop_assert!(
+        resp.profile.is_some(),
+        "a profiled request returns its profile"
+    );
+    let planned = (
+        resp.ty,
+        resp.rows.seq().expect("ordered request yields Seq"),
+    );
     prop_assert_eq!(naive.0, planned.0, "entity types diverged for {:?}", q);
     prop_assert_eq!(
         naive.1.len(),
@@ -323,7 +310,7 @@ proptest! {
             load(&eng, &rows);
             let q = eng.with_db(|db| grow_query(db, &decisions));
             let naive = eng.with_db(|db| q.execute(db)).expect("generated query is sanctioned");
-            let planned = run_planned(&eng, &q).expect("planner accepts sanctioned queries");
+            let planned = eng.query_planned(&q).expect("planner accepts sanctioned queries");
             prop_assert_eq!(&naive.0, &planned.0, "entity types diverged for {:?}", q);
             prop_assert_eq!(&naive.1, &planned.1, "relations diverged for {:?}", q);
             assert_ordered_agreement(&eng, &q)?;
@@ -380,7 +367,7 @@ proptest! {
         }
         let q = eng.with_db(|db| grow_query(db, &decisions));
         let naive = eng.with_db(|db| q.execute(db)).expect("generated query is sanctioned");
-        let planned = run_planned(&eng, &q).expect("planner accepts sanctioned queries");
+        let planned = eng.query_planned(&q).expect("planner accepts sanctioned queries");
         prop_assert_eq!(&naive.0, &planned.0);
         prop_assert_eq!(&naive.1, &planned.1, "relations diverged for {:?}", q);
         assert_ordered_agreement(&eng, &q)?;
@@ -445,7 +432,7 @@ proptest! {
             q = q.order_by(vec![(attr, dir)]);
         }
         let naive = eng.with_db(|db| q.execute(db)).expect("sanctioned");
-        let planned = run_planned(&eng, &q).expect("planner accepts sanctioned queries");
+        let planned = eng.query_planned(&q).expect("planner accepts sanctioned queries");
         prop_assert_eq!(&naive.0, &planned.0);
         prop_assert_eq!(&naive.1, &planned.1, "relations diverged for {:?}", q);
         assert_ordered_agreement(&eng, &q)?;
@@ -500,7 +487,7 @@ fn large_scan_crosses_batch_boundaries() {
     ];
     for q in &queries {
         let naive = eng.with_db(|db| q.execute(db)).unwrap();
-        let planned = run_planned(&eng, q).unwrap();
+        let planned = eng.query_planned(q).unwrap();
         assert_eq!(naive, planned);
     }
 }

@@ -1509,10 +1509,7 @@ impl Engine {
     /// Current statistics, assembled lazily and cached until the next
     /// mutation (insert, delete, or rollback). Assembly reuses the
     /// carried statistics of every type the mutations left alone — the
-    /// same per-type cache [`EngineSnapshot::statistics`] draws from. Carries the engine's
-    /// selectivity-feedback cache, so estimates read through them are
-    /// steered by learned corrections (neutral until something has been
-    /// observed, or always when `TOPOSEM_FEEDBACK=0`).
+    /// same per-type cache [`EngineSnapshot::statistics`] draws from.
     pub fn statistics(&self) -> Arc<Statistics> {
         if let Some(s) = &self.inner.read().stats {
             return Arc::clone(s);
@@ -1524,9 +1521,7 @@ impl Engine {
                     .stats_cache
                     .lock()
                     .statistics(&inner.db, &inner.indexes, &self.metrics);
-            inner.stats = Some(Arc::new(
-                stats.with_feedback(Arc::clone(&self.metrics.feedback), inner.stats_epoch),
-            ));
+            inner.stats = Some(Arc::new(stats));
         }
         Arc::clone(inner.stats.as_ref().expect("just filled"))
     }
@@ -1537,22 +1532,6 @@ impl Engine {
     /// still valid.
     pub fn statistics_epoch(&self) -> u64 {
         self.inner.read().stats_epoch
-    }
-
-    /// The epoch that keys the plan cache: the statistics epoch plus
-    /// the feedback generation. Both terms only ever grow, so the sum
-    /// is monotone and uniquely brackets a window in which neither the
-    /// data distribution nor the learned corrections moved enough to
-    /// change a plan — a cached plan is valid exactly while this value
-    /// holds still.
-    pub fn plan_epoch(&self) -> u64 {
-        self.inner.read().stats_epoch + self.metrics.feedback.generation()
-    }
-
-    /// The engine's selectivity-feedback cache (shared with
-    /// [`Engine::statistics`] snapshots and the planner's recorder).
-    pub fn feedback(&self) -> &Arc<toposem_obs::SelectivityFeedback> {
-        &self.metrics.feedback
     }
 
     /// Looks up a cached plan for `fingerprint`, valid only at `epoch`

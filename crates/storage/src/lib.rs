@@ -25,7 +25,7 @@ pub use query::{
     cmp_by_keys, Interval, PredBound, Predicate, Query, QueryError, SortDir, SortKeys,
 };
 pub use snapshot::{load, save, EngineSnapshot, SnapshotError};
-pub use stats::{histograms_enabled, set_histograms_enabled, Histogram, Statistics, TypeStats};
+pub use stats::{Histogram, Statistics, TypeStats};
 pub use view_exec::{
     apply_update, materialise, translation_count, MaterialisedView, ViewError, ViewUpdate,
 };

@@ -167,15 +167,14 @@ impl EngineSnapshot {
     /// Statistics over the snapshotted state, assembled on first use
     /// from the engine's carried per-type statistics (recollecting only
     /// types whose data changed) and cached for the snapshot's lifetime
-    /// (it is immutable, so they never go stale). Carries the engine's
-    /// selectivity-feedback cache scoped to the snapshot's epoch.
+    /// (it is immutable, so they never go stale).
     pub fn statistics(&self) -> Arc<Statistics> {
         Arc::clone(self.stats.get_or_init(|| {
-            let stats = self
-                .stats_cache
-                .lock()
-                .statistics(&self.db, &self.indexes, &self.metrics);
-            Arc::new(stats.with_feedback(Arc::clone(&self.metrics.feedback), self.stats_epoch))
+            Arc::new(
+                self.stats_cache
+                    .lock()
+                    .statistics(&self.db, &self.indexes, &self.metrics),
+            )
         }))
     }
 }
