@@ -274,38 +274,29 @@ impl Instance {
         Some(shared)
     }
 
-    /// Merges two compatible instances (the tuple-level natural join).
-    /// Panics when incompatible — callers must check [`Self::compatible`].
+    /// Merges two compatible instances (the tuple-level natural join):
+    /// the collected [`Self::merged`] view. Panics when incompatible —
+    /// callers must check [`Self::compatible`].
     pub fn merge(&self, other: &Instance) -> Instance {
         let shared = self
             .shared_attrs(other)
             .expect("merging incompatible instances");
-        let (l, r) = (&self.fields[..], &other.fields[..]);
-        let mut fields = Vec::with_capacity(l.len() + r.len() - shared);
-        // Both sides are sorted by attribute id: one two-pointer pass
-        // yields the merged fields already in canonical order.
-        let (mut i, mut j) = (0, 0);
-        while i < l.len() && j < r.len() {
-            match l[i].0.cmp(&r[j].0) {
-                std::cmp::Ordering::Less => {
-                    fields.push(l[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    fields.push(r[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    fields.push(l[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        fields.extend_from_slice(&l[i..]);
-        fields.extend_from_slice(&r[j..]);
+        let mut fields = Vec::with_capacity(self.width() + other.width() - shared);
+        fields.extend(self.merged(other).cloned());
         Instance {
             fields: fields.into(),
+        }
+    }
+
+    /// The natural join of two compatible instances, read without being
+    /// built: their fields in attribute-id order, each shared attribute
+    /// once. The joined tuple is fully determined by its constituents
+    /// (each is a projection π of it, §4.2), so this view *is* the
+    /// tuple [`Self::merge`] collects.
+    pub fn merged<'a>(&'a self, other: &'a Instance) -> MergedFields<'a> {
+        MergedFields {
+            l: &self.fields,
+            r: &other.fields,
         }
     }
 
@@ -317,6 +308,159 @@ impl Instance {
             .map(|(a, v)| format!("{}={}", schema.attr_name(*a), v))
             .collect();
         format!("({})", parts.join(", "))
+    }
+}
+
+/// The fields of a natural-join tuple read from its two constituents:
+/// one two-pointer pass over both id-sorted lists, in attribute-id
+/// order, a shared attribute taken once (from the left side; the two
+/// sides agree on it).
+#[derive(Clone, Debug)]
+pub struct MergedFields<'a> {
+    l: &'a [(AttrId, Value)],
+    r: &'a [(AttrId, Value)],
+}
+
+impl<'a> Iterator for MergedFields<'a> {
+    type Item = &'a (AttrId, Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (l, r) = (self.l, self.r);
+        let (take_l, take_r) = match (l.first(), r.first()) {
+            (None, None) => return None,
+            (Some(_), None) => (true, false),
+            (None, Some(_)) => (false, true),
+            (Some(a), Some(b)) => match a.0.cmp(&b.0) {
+                std::cmp::Ordering::Less => (true, false),
+                std::cmp::Ordering::Greater => (false, true),
+                std::cmp::Ordering::Equal => (true, true),
+            },
+        };
+        if take_r {
+            self.r = &r[1..];
+        }
+        if take_l {
+            self.l = &l[1..];
+            return l.first();
+        }
+        r.first()
+    }
+}
+
+/// A result row as the executor carries it: one instance, or the
+/// (build, probe) pair of a natural join that has not been merged.
+///
+/// A pair reads through [`Instance::merged`], and equality, order,
+/// and hashing are those of the merged tuple, so a row behaves exactly
+/// like the [`Instance`] that [`Row::into_instance`] builds.
+#[derive(Clone, Debug)]
+pub enum Row {
+    /// A stored, projected, or materialised instance.
+    One(Instance),
+    /// Two compatible instances standing for their natural join.
+    Pair(Instance, Instance),
+}
+
+impl Row {
+    /// The value of attribute `a`, if present.
+    pub fn get(&self, a: AttrId) -> Option<&Value> {
+        match self {
+            Row::One(t) => t.get(a),
+            Row::Pair(l, r) => l.get(a).or_else(|| r.get(a)),
+        }
+    }
+
+    /// All fields in attribute-id order.
+    pub fn fields(&self) -> MergedFields<'_> {
+        match self {
+            Row::One(t) => MergedFields {
+                l: &t.fields,
+                r: &[],
+            },
+            Row::Pair(l, r) => l.merged(r),
+        }
+    }
+
+    /// Number of attributes.
+    pub fn width(&self) -> usize {
+        match self {
+            Row::One(t) => t.width(),
+            Row::Pair(..) => self.fields().count(),
+        }
+    }
+
+    /// The projection `π` onto attribute set `target`, read through the
+    /// merged view.
+    pub fn project(&self, target: &BitSet) -> Instance {
+        match self {
+            Row::One(t) => t.project(target),
+            Row::Pair(..) => Instance {
+                fields: self
+                    .fields()
+                    .filter(|(a, _)| target.contains(a.index()))
+                    .cloned()
+                    .collect(),
+            },
+        }
+    }
+
+    /// The row as one instance: a pair is merged here (or in
+    /// [`Row::materialise`]), and nowhere else.
+    pub fn into_instance(self) -> Instance {
+        match self {
+            Row::One(t) => t,
+            Row::Pair(l, r) => l.merge(&r),
+        }
+    }
+
+    /// Merges a pair in place and returns the instance the row now is.
+    pub fn materialise(&mut self) -> &Instance {
+        if let Row::Pair(l, r) = self {
+            let merged = l.merge(r);
+            *self = Row::One(merged);
+        }
+        match self {
+            Row::One(t) => t,
+            Row::Pair(..) => unreachable!("merged above"),
+        }
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Row) -> bool {
+        self.fields().eq(other.fields())
+    }
+}
+
+impl Eq for Row {}
+
+impl PartialOrd for Row {
+    fn partial_cmp(&self, other: &Row) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Lexicographic over the fields, as [`Instance`]'s derived order is
+/// over its field slice.
+impl Ord for Row {
+    fn cmp(&self, other: &Row) -> std::cmp::Ordering {
+        self.fields().cmp(other.fields())
+    }
+}
+
+/// Feeds the hasher what [`Instance`]'s derived `Hash` feeds it: the
+/// field count, then every `(attribute, value)` pair in order.
+impl std::hash::Hash for Row {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        match self {
+            Row::One(t) => t.hash(state),
+            Row::Pair(..) => {
+                state.write_usize(self.width());
+                for f in self.fields() {
+                    f.hash(state);
+                }
+            }
+        }
     }
 }
 

@@ -24,7 +24,7 @@ pub mod value;
 pub use database::{ContainmentPolicy, ContainmentViolation, Database};
 pub use evolution::{evolve, EvolutionOp, EvolveError, Migration, TypeFate};
 pub use extension_map::{e_map, p_inclusion_holds, verify_corollary, CorollaryReport};
-pub use instance::{Instance, InstanceError};
+pub use instance::{Instance, InstanceError, MergedFields, Row};
 pub use join::{check_all, check_extension_axiom, multi_join, natural_join, ExtensionAxiomReport};
 pub use logical_op::{LogicalOp, ReplayError};
 pub use relation::Relation;

@@ -44,6 +44,44 @@ fn conj_selectivity(ty: TypeId, preds: &[(AttrId, Predicate)], stats: &Statistic
 
 /// Estimates a physical subplan bottom-up.
 pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
+    walk(plan, stats, None)
+}
+
+/// Every node's [`estimate`], in pre-order (the node ids of a
+/// [`toposem_obs::PlanProfile`]), from one bottom-up walk: each node is
+/// priced once, where asking [`estimate`] of every node prices each
+/// subtree once per ancestor.
+pub fn estimate_all(plan: &Physical, stats: &Statistics) -> Vec<Estimate> {
+    let mut out = Vec::with_capacity(plan.node_count());
+    walk(plan, stats, Some(&mut out));
+    out
+}
+
+/// [`estimate`], also recording every node's estimate into `out` (when
+/// given) at its pre-order position: a node reserves its slot before
+/// its children, which are visited in [`Physical::children`] order.
+fn walk(plan: &Physical, stats: &Statistics, mut out: Option<&mut Vec<Estimate>>) -> Estimate {
+    let slot = out.as_deref_mut().map(|o| {
+        o.push(Estimate {
+            rows: 0.0,
+            cost: 0.0,
+        });
+        o.len() - 1
+    });
+    let e = node_estimate(plan, stats, |child| walk(child, stats, out.as_deref_mut()));
+    if let (Some(o), Some(at)) = (out, slot) {
+        o[at] = e;
+    }
+    e
+}
+
+/// One node's estimate, its children priced through `child` (called
+/// once per child, in [`Physical::children`] order).
+fn node_estimate(
+    plan: &Physical,
+    stats: &Statistics,
+    mut child: impl FnMut(&Physical) -> Estimate,
+) -> Estimate {
     match plan {
         Physical::Empty { .. } => Estimate {
             rows: 0.0,
@@ -137,7 +175,7 @@ pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
             }
         }
         Physical::Filter { input, preds } => {
-            let e = estimate(input, stats);
+            let e = child(input);
             let ty = input.ty();
             Estimate {
                 rows: e.rows * conj_selectivity(ty, preds, stats),
@@ -145,7 +183,7 @@ pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
             }
         }
         Physical::Project { input, .. } => {
-            let e = estimate(input, stats);
+            let e = child(input);
             Estimate {
                 // Projection onto a generalisation can collapse duplicates;
                 // without correlation knowledge keep the input estimate.
@@ -156,8 +194,8 @@ pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
         Physical::HashJoin {
             build, probe, keys, ..
         } => {
-            let b = estimate(build, stats);
-            let p = estimate(probe, stats);
+            let b = child(build);
+            let p = child(probe);
             let rows = stats.join_cardinality(build.ty(), b.rows, probe.ty(), p.rows, keys);
             Estimate {
                 rows,
@@ -167,8 +205,8 @@ pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
         Physical::MergeJoin {
             left, right, keys, ..
         } => {
-            let l = estimate(left, stats);
-            let r = estimate(right, stats);
+            let l = child(left);
+            let r = child(right);
             let rows = stats.join_cardinality(left.ty(), l.rows, right.ty(), r.rows, keys);
             // Both inputs arrive sorted, so the merge touches each input
             // tuple once — no hash build, no per-probe overhead.
@@ -178,7 +216,7 @@ pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
             }
         }
         Physical::Sort { input, .. } => {
-            let e = estimate(input, stats);
+            let e = child(input);
             // Comparison sort over the materialised input.
             let n = e.rows.max(2.0);
             Estimate {
@@ -187,16 +225,16 @@ pub fn estimate(plan: &Physical, stats: &Statistics) -> Estimate {
             }
         }
         Physical::Union { left, right, .. } => {
-            let l = estimate(left, stats);
-            let r = estimate(right, stats);
+            let l = child(left);
+            let r = child(right);
             Estimate {
                 rows: l.rows + r.rows,
                 cost: l.cost + r.cost + l.rows + r.rows,
             }
         }
         Physical::Intersect { build, probe, .. } => {
-            let b = estimate(build, stats);
-            let p = estimate(probe, stats);
+            let b = child(build);
+            let p = child(probe);
             Estimate {
                 rows: b.rows.min(p.rows),
                 cost: b.cost + p.cost + b.rows + HASH_PROBE_COST * p.rows,

@@ -1,25 +1,34 @@
 //! The vectorised executor: a push-based batch pipeline over a consistent
 //! engine snapshot.
 //!
-//! Every operator streams [`super::physical::BATCH_SIZE`]-tuple batches
-//! into a sink closure; only hash-join build sides, intersection
-//! membership sets, sort/merge-join inputs, and the final result relation
-//! are materialised. Under the eager containment policy scans borrow the
-//! stored relation directly (no extension clone); on-demand extensions are
-//! collected once per scan. Index seeks walk hash buckets, BTree ranges,
-//! or composite key prefixes; index-only scans rebuild projected tuples
-//! from index *keys* without touching base tuples at all.
+//! Every operator streams batches of up to [`super::physical::BATCH_SIZE`]
+//! rows into a sink closure (a sort passes its sorted run on whole, and a
+//! batch grows only as far as the rows it holds); only hash-join build
+//! sides, intersection membership sets, sort/merge-join inputs, and the
+//! final result relation are materialised. A join emits each result row
+//! as the (build, probe) pair of stored rows it joins ([`Row::Pair`]):
+//! the pair determines the natural-join tuple, so operators above read it
+//! through the merged view, and it is merged into one [`Instance`] only
+//! where a whole tuple is needed — a set sink, the dedup set of a plan
+//! that can repeat rows, an intersection's membership test, or the input
+//! of another join. Under the eager containment policy scans borrow the
+//! stored relation directly (no extension clone); on-demand extensions
+//! are collected once per scan. Index seeks walk hash buckets, BTree
+//! ranges, or composite key prefixes; index-only scans rebuild projected
+//! tuples from index *keys* without touching base tuples at all.
 //!
 //! One query runs on one thread. Concurrency comes from sessions: each
 //! connection runs its queries against a lock-free committed snapshot.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::time::Instant;
 
 use toposem_core::AttrId;
-use toposem_extension::{Database, Instance, Relation, Value};
+use toposem_extension::{Database, Instance, Relation, Row, Value};
 use toposem_obs::{NodeProfile, PlanProfile};
-use toposem_storage::{cmp_by_keys, Index, Predicate, SortDir};
+use toposem_storage::{cmp_by_keys, cmp_key, Index, Predicate, SortDir};
 
 use crate::physical::{Physical, BATCH_SIZE};
 
@@ -95,8 +104,8 @@ pub fn execute_profiled(
 fn execute_prof(plan: &Physical, db: &Database, indexes: &[Vec<Index>], prof: Prof) -> Relation {
     let mut out = Relation::new();
     for_each_batch(plan, db, indexes, prof, &mut |batch| {
-        for t in batch.drain(..) {
-            out.insert(t);
+        for row in batch.drain(..) {
+            out.insert(row.into_instance());
         }
     });
     out
@@ -108,7 +117,10 @@ fn execute_prof(plan: &Physical, db: &Database, indexes: &[Vec<Index>], prof: Pr
 /// root `OrderBy` — an order-carrying access path or a `Sort` enforcer —
 /// so arrival order *is* the requested order.
 pub fn execute_ordered(plan: &Physical, db: &Database, indexes: &[Vec<Index>]) -> Vec<Instance> {
-    execute_ordered_prof(plan, db, indexes, Prof::none())
+    execute_rows_prof(plan, db, indexes, Prof::none())
+        .into_iter()
+        .map(Row::into_instance)
+        .collect()
 }
 
 /// [`execute_ordered`]; the options are ignored. Kept only because the
@@ -123,32 +135,32 @@ pub fn execute_ordered_with(
 }
 
 /// [`execute_ordered`] recording per-operator actuals into `profile`
-/// (see [`execute_profiled`]).
-pub(crate) fn execute_ordered_profiled(
+/// (see [`execute_profiled`]), with joined rows left as pairs.
+pub(crate) fn execute_rows_profiled(
     plan: &Physical,
     db: &Database,
     indexes: &[Vec<Index>],
     profile: &PlanProfile,
-) -> Vec<Instance> {
-    execute_ordered_prof(plan, db, indexes, Prof::root(plan, profile))
+) -> Vec<Row> {
+    execute_rows_prof(plan, db, indexes, Prof::root(plan, profile))
 }
 
-fn execute_ordered_prof(
+fn execute_rows_prof(
     plan: &Physical,
     db: &Database,
     indexes: &[Vec<Index>],
     prof: Prof,
-) -> Vec<Instance> {
-    let mut out: Vec<Instance> = Vec::new();
+) -> Vec<Row> {
+    let mut out: Vec<Row> = Vec::new();
     // Results are sets; only a plan that can repeat a tuple pays for the
     // membership set that keeps the first occurrence.
     let mut seen: Option<HashSet<Instance>> = (!plan.duplicate_free()).then(HashSet::new);
-    let mut append = |batch: &mut Vec<Instance>| match &mut seen {
-        None => out.append(batch),
+    let mut append = |batch: &mut Vec<Row>| match &mut seen {
+        None => take_batch(&mut out, batch),
         Some(seen) => {
-            for t in batch.drain(..) {
-                if seen.insert(t.clone()) {
-                    out.push(t);
+            for mut row in batch.drain(..) {
+                if seen.insert(row.materialise().clone()) {
+                    out.push(row);
                 }
             }
         }
@@ -197,10 +209,12 @@ pub fn plan_supported(plan: &Physical, indexes: &[Vec<Index>]) -> bool {
     }
 }
 
-fn matches(t: &Instance, preds: &[(AttrId, Predicate)]) -> bool {
+/// Whether the row whose attributes `get` reads satisfies every
+/// predicate.
+fn matches<'v>(get: impl Fn(AttrId) -> Option<&'v Value>, preds: &[(AttrId, Predicate)]) -> bool {
     preds
         .iter()
-        .all(|(a, p)| t.get(*a).is_some_and(|v| p.matches(v)))
+        .all(|(a, p)| get(*a).is_some_and(|v| p.matches(v)))
 }
 
 /// The type's indexes (planner and executor see the same snapshot, so an
@@ -213,12 +227,12 @@ fn indexes_of(indexes: &[Vec<Index>], ty: toposem_core::TypeId) -> &[Index] {
 fn stream_filtered<'a>(
     iter: impl Iterator<Item = &'a Instance>,
     residual: &[(AttrId, Predicate)],
-    sink: &mut dyn FnMut(&mut Vec<Instance>),
+    sink: &mut dyn FnMut(&mut Vec<Row>),
 ) {
-    let mut batch = Vec::with_capacity(BATCH_SIZE);
+    let mut batch = Vec::new();
     for t in iter {
-        if matches(t, residual) {
-            batch.push(t.clone());
+        if matches(|a| t.get(a), residual) {
+            batch.push(Row::One(t.clone()));
             if batch.len() == BATCH_SIZE {
                 sink(&mut batch);
                 batch.clear();
@@ -237,7 +251,7 @@ fn stream_profiled<'a>(
     iter: impl Iterator<Item = &'a Instance>,
     residual: &[(AttrId, Predicate)],
     node: Option<&NodeProfile>,
-    sink: &mut dyn FnMut(&mut Vec<Instance>),
+    sink: &mut dyn FnMut(&mut Vec<Row>),
 ) {
     match node {
         None => stream_filtered(iter, residual, sink),
@@ -258,7 +272,7 @@ fn for_each_batch(
     db: &Database,
     indexes: &[Vec<Index>],
     prof: Prof,
-    sink: &mut dyn FnMut(&mut Vec<Instance>),
+    sink: &mut dyn FnMut(&mut Vec<Row>),
 ) {
     let Some(node) = prof.node() else {
         return exec_node(plan, db, indexes, prof, sink);
@@ -280,7 +294,7 @@ fn exec_node(
     db: &Database,
     indexes: &[Vec<Index>],
     prof: Prof,
-    sink: &mut dyn FnMut(&mut Vec<Instance>),
+    sink: &mut dyn FnMut(&mut Vec<Row>),
 ) {
     match plan {
         Physical::Empty { .. } => {}
@@ -356,10 +370,10 @@ fn exec_node(
                 })
                 .expect("planner chose IndexOnlyScan only when the covering index exists");
             let target = db.schema().attrs_of(*to);
-            let mut batch = Vec::with_capacity(BATCH_SIZE);
+            let mut batch = Vec::new();
             // Keys touched, counted locally; merged into `rows_in` once.
             let walked = std::cell::Cell::new(0u64);
-            let emit = |key: &[&Value], batch: &mut Vec<Instance>| {
+            let emit = |key: &[&Value], batch: &mut Vec<Row>| {
                 walked.set(walked.get() + 1);
                 let bound: Vec<(AttrId, &Value)> =
                     key_attrs.iter().copied().zip(key.iter().copied()).collect();
@@ -376,7 +390,7 @@ fn exec_node(
                     .filter(|(a, _)| target.contains(a.index()))
                     .map(|(a, v)| (*a, (*v).clone()))
                     .collect();
-                batch.push(Instance::from_parts(fields));
+                batch.push(Row::One(Instance::from_parts(fields)));
             };
             match idx {
                 Index::Hash(h) => {
@@ -417,7 +431,7 @@ fn exec_node(
         }
         Physical::Filter { input, preds } => {
             for_each_batch(input, db, indexes, prof.child(plan, 0), &mut |batch| {
-                batch.retain(|t| matches(t, preds));
+                batch.retain(|row| matches(|a| row.get(a), preds));
                 if !batch.is_empty() {
                     sink(batch);
                 }
@@ -426,8 +440,10 @@ fn exec_node(
         Physical::Project { input, to } => {
             let target = db.schema().attrs_of(*to).clone();
             for_each_batch(input, db, indexes, prof.child(plan, 0), &mut |batch| {
-                let mut projected: Vec<Instance> =
-                    batch.drain(..).map(|t| t.project(&target)).collect();
+                let mut projected: Vec<Row> = batch
+                    .drain(..)
+                    .map(|row| Row::One(row.project(&target)))
+                    .collect();
                 sink(&mut projected);
             });
         }
@@ -435,29 +451,41 @@ fn exec_node(
             build, probe, keys, ..
         } => {
             // The natural-join key: shared attributes of the two input
-            // types, computed by the planner in id order.
-            let key_of = |t: &Instance| -> Vec<Value> {
-                keys.iter().filter_map(|a| t.get(*a).cloned()).collect()
+            // types, computed by the planner in id order. Build rows are
+            // filed under the hash of their key values and compared in
+            // place, so neither side copies a key.
+            let seed = RandomState::new();
+            let key_hash = |t: &Instance| {
+                let mut h = seed.build_hasher();
+                for a in keys {
+                    t.get(*a).hash(&mut h);
+                }
+                h.finish()
             };
-            // Materialise the build side into a hash table.
-            let mut table: HashMap<Vec<Value>, Vec<Instance>> = HashMap::new();
+            let mut table: HashMap<u64, Vec<Instance>> = HashMap::new();
+            let mut build_rows = 0u64;
             for_each_batch(build, db, indexes, prof.child(plan, 0), &mut |batch| {
-                for t in batch.drain(..) {
-                    table.entry(key_of(&t)).or_default().push(t);
+                build_rows += batch.len() as u64;
+                for row in batch.drain(..) {
+                    let t = row.into_instance();
+                    table.entry(key_hash(&t)).or_default().push(t);
                 }
             });
             if let Some(node) = prof.node() {
                 // Serial build = one partition holding every build row.
-                let build_rows: usize = table.values().map(Vec::len).sum();
-                node.note_partitions(1, build_rows as u64);
+                node.note_partitions(1, build_rows);
             }
             // Stream the probe side.
-            let mut out = Vec::with_capacity(BATCH_SIZE);
+            let mut out = Vec::new();
             for_each_batch(probe, db, indexes, prof.child(plan, 1), &mut |batch| {
-                for p in batch.drain(..) {
-                    if let Some(partners) = table.get(&key_of(&p)) {
-                        for b in partners {
-                            out.push(b.merge(&p));
+                for row in batch.drain(..) {
+                    let p = row.into_instance();
+                    let Some(bucket) = table.get(&key_hash(&p)) else {
+                        continue;
+                    };
+                    for b in bucket {
+                        if keys.iter().all(|a| b.get(*a) == p.get(*a)) {
+                            out.push(Row::Pair(b.clone(), p.clone()));
                             if out.len() == BATCH_SIZE {
                                 sink(&mut out);
                                 out.clear();
@@ -479,7 +507,9 @@ fn exec_node(
             // equal-key groups pairwise.
             let collect = |side: &Physical, p: Prof| {
                 let mut rows: Vec<Instance> = Vec::new();
-                for_each_batch(side, db, indexes, p, &mut |batch| rows.append(batch));
+                for_each_batch(side, db, indexes, p, &mut |batch| {
+                    rows.extend(batch.drain(..).map(Row::into_instance))
+                });
                 rows
             };
             let lrows = collect(left, prof.child(plan, 0));
@@ -487,20 +517,16 @@ fn exec_node(
             merge_join_sorted(&lrows, &rrows, keys, sink);
         }
         Physical::Sort { input, keys } => {
-            let mut rows: Vec<Instance> = Vec::new();
+            let mut rows: Vec<Row> = Vec::new();
             for_each_batch(input, db, indexes, prof.child(plan, 0), &mut |batch| {
-                rows.append(batch)
+                take_batch(&mut rows, batch)
             });
-            // Stable, so an input order on a longer key list survives as
-            // the tie-break.
-            rows.sort_by(|a, b| cmp_by_keys(a, b, keys));
-            let mut iter = rows.into_iter();
-            loop {
-                let mut batch: Vec<Instance> = iter.by_ref().take(BATCH_SIZE).collect();
-                if batch.is_empty() {
-                    break;
-                }
-                sink(&mut batch);
+            let order = sorted_order(&rows, keys);
+            permute(&mut rows, order);
+            // The sorted run was materialised anyway: it goes on as one
+            // batch.
+            if !rows.is_empty() {
+                sink(&mut rows);
             }
         }
         Physical::Union { left, right, .. } => {
@@ -511,12 +537,12 @@ fn exec_node(
         Physical::Intersect { build, probe, .. } => {
             let mut members = Relation::new();
             for_each_batch(build, db, indexes, prof.child(plan, 0), &mut |batch| {
-                for t in batch.drain(..) {
-                    members.insert(t);
+                for row in batch.drain(..) {
+                    members.insert(row.into_instance());
                 }
             });
             for_each_batch(probe, db, indexes, prof.child(plan, 1), &mut |batch| {
-                batch.retain(|t| members.contains(t));
+                batch.retain_mut(|row| members.contains(row.materialise()));
                 if !batch.is_empty() {
                     sink(batch);
                 }
@@ -525,14 +551,64 @@ fn exec_node(
     }
 }
 
+/// The stable sort permutation of `rows` under `keys`: every row's key
+/// values are read once (decorate), then positions sort on them under
+/// [`cmp_key`], the rule [`cmp_by_keys`] compares by. Ties keep arrival
+/// order, so an input order on a longer key list survives.
+fn sorted_order(rows: &[Row], keys: &[(AttrId, SortDir)]) -> Vec<usize> {
+    let k = keys.len();
+    let vals: Vec<Option<&Value>> = rows
+        .iter()
+        .flat_map(|r| keys.iter().map(move |(a, _)| r.get(*a)))
+        .collect();
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&i, &j| {
+        let (a, b) = (&vals[i * k..(i + 1) * k], &vals[j * k..(j + 1) * k]);
+        keys.iter()
+            .zip(a.iter().zip(b))
+            .map(|((_, dir), (x, y))| cmp_key(*x, *y, *dir))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    order
+}
+
+/// Rearranges `rows` so position `k` holds the row that was at
+/// `order[k]`, by swapping along the permutation's cycles.
+fn permute(rows: &mut [Row], mut order: Vec<usize>) {
+    const DONE: usize = usize::MAX;
+    for start in 0..rows.len() {
+        let mut k = start;
+        while order[k] != DONE {
+            let src = order[k];
+            order[k] = DONE;
+            if src == start {
+                break;
+            }
+            rows.swap(k, src);
+            k = src;
+        }
+    }
+}
+
+/// Appends `batch` to `dst`, draining it; into an empty `dst` the batch
+/// moves whole, so a sink fed one batch copies no rows.
+fn take_batch(dst: &mut Vec<Row>, batch: &mut Vec<Row>) {
+    if dst.is_empty() {
+        std::mem::swap(dst, batch);
+    } else {
+        dst.append(batch);
+    }
+}
+
 /// The merge-join loop: both inputs arrive sorted ascending on `keys`;
 /// equal-key groups are matched pairwise and streamed into `sink`
-/// batch-wise.
+/// batch-wise as unmerged pairs.
 fn merge_join_sorted(
     lrows: &[Instance],
     rrows: &[Instance],
     keys: &[AttrId],
-    sink: &mut dyn FnMut(&mut Vec<Instance>),
+    sink: &mut dyn FnMut(&mut Vec<Row>),
 ) {
     let sorted_keys: Vec<(AttrId, SortDir)> = keys.iter().map(|a| (*a, SortDir::Asc)).collect();
     debug_assert!(
@@ -551,7 +627,7 @@ fn merge_join_sorted(
         }
         end
     };
-    let mut out = Vec::with_capacity(BATCH_SIZE);
+    let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);
     while i < lrows.len() && j < rrows.len() {
         match cmp_by_keys(&lrows[i], &rrows[j], &sorted_keys) {
@@ -561,7 +637,7 @@ fn merge_join_sorted(
                 let (i2, j2) = (group_end(lrows, i), group_end(rrows, j));
                 for l in &lrows[i..i2] {
                     for r in &rrows[j..j2] {
-                        out.push(l.merge(r));
+                        out.push(Row::Pair(l.clone(), r.clone()));
                         if out.len() == BATCH_SIZE {
                             sink(&mut out);
                             out.clear();
@@ -575,5 +651,54 @@ fn merge_join_sorted(
     }
     if !out.is_empty() {
         sink(&mut out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The decorated sort (order, then in-place permutation) puts rows —
+    /// pairs among them, some missing a key attribute, many tied — in
+    /// exactly the order a stable sort of the merged tuples under
+    /// `cmp_by_keys` does.
+    #[test]
+    fn decorated_sort_is_the_stable_cmp_by_keys_sort() {
+        let (a, b, c) = (AttrId(0), AttrId(1), AttrId(2));
+        let rows: Vec<Row> = (0..40i64)
+            .map(|i| {
+                let left = Instance::from_parts(
+                    [(a, Value::Int(i % 3)), (c, Value::Int(i))]
+                        .into_iter()
+                        .filter(|_| i % 5 != 0)
+                        .collect(),
+                );
+                let right =
+                    Instance::from_parts(vec![(b, Value::str(["x", "y"][(i % 2) as usize]))]);
+                if i % 4 == 0 {
+                    Row::One(left)
+                } else {
+                    Row::Pair(left, right)
+                }
+            })
+            .collect();
+        for keys in [
+            vec![(a, SortDir::Asc)],
+            vec![(a, SortDir::Desc)],
+            vec![(b, SortDir::Asc), (a, SortDir::Desc)],
+            vec![(b, SortDir::Desc), (a, SortDir::Asc), (c, SortDir::Desc)],
+        ] {
+            let got: Vec<Instance> = sorted_order(&rows, &keys)
+                .into_iter()
+                .map(|i| rows[i].clone().into_instance())
+                .collect();
+            let mut want: Vec<Instance> = rows.iter().cloned().map(Row::into_instance).collect();
+            want.sort_by(|x, y| cmp_by_keys(x, y, &keys));
+            assert_eq!(got, want, "{keys:?}");
+            let mut permuted = rows.clone();
+            permute(&mut permuted, sorted_order(&rows, &keys));
+            let permuted: Vec<Instance> = permuted.into_iter().map(Row::into_instance).collect();
+            assert_eq!(permuted, want, "{keys:?}");
+        }
     }
 }

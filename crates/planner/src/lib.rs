@@ -111,7 +111,7 @@ use toposem_extension::{Instance, Relation};
 use toposem_obs::{PlanProfile, QueryProfile, QueryTrace};
 use toposem_storage::{Engine, EngineSnapshot, Query, QueryError};
 
-pub use cost::{estimate, Estimate};
+pub use cost::{estimate, estimate_all, Estimate};
 pub use exec::{
     execute, execute_ordered, execute_ordered_with, execute_profiled, plan_supported, ExecOptions,
 };
@@ -368,14 +368,15 @@ fn observe_query(
         Some(s) => s.statistics(),
         None => eng.statistics(),
     };
-    let max_q = profile::max_q_error(physical, &stats, profile);
+    let estimates = cost::estimate_all(physical, &stats);
+    let max_q = profile::max_q_error(&estimates, profile);
     metrics
         .planner_qerror
         .record((max_q * 100.0).round() as u64);
     let assembled = (want_profile || slow).then(|| {
         let root = match snap {
-            Some(s) => profile::build_op_profile(physical, s.db(), &stats, profile),
-            None => eng.with_db(|db| profile::build_op_profile(physical, db, &stats, profile)),
+            Some(s) => profile::build_op_profile(physical, s.db(), &estimates, profile),
+            None => eng.with_db(|db| profile::build_op_profile(physical, db, &estimates, profile)),
         };
         Arc::new(QueryProfile {
             fingerprint: obs.fingerprint,

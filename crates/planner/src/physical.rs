@@ -37,10 +37,10 @@ use toposem_core::{AttrId, TypeId};
 use toposem_extension::{Database, Value};
 use toposem_storage::{Index, Interval, Predicate, SortDir, SortKeys, Statistics};
 
-use crate::cost::{estimate, Estimate};
+use crate::cost::{estimate, estimate_all, Estimate};
 use crate::logical::Logical;
 
-/// Tuples per executor batch.
+/// Most rows an access path or join puts in one executor batch.
 pub const BATCH_SIZE: usize = 1024;
 
 /// Hard ceiling on the DP enumeration width, whatever
@@ -400,17 +400,26 @@ impl Physical {
     /// Renders the plan as an indented EXPLAIN tree with estimates.
     pub fn explain(&self, db: &Database, stats: &Statistics) -> String {
         let mut out = String::new();
-        self.explain_into(db, stats, 0, &mut out);
+        let estimates = estimate_all(self, stats);
+        self.explain_into(db, &estimates, &mut 0, 0, &mut out);
         out
     }
 
-    fn explain_into(&self, db: &Database, stats: &Statistics, depth: usize, out: &mut String) {
-        let Estimate { rows, cost } = estimate(self, stats);
+    fn explain_into(
+        &self,
+        db: &Database,
+        estimates: &[Estimate],
+        id: &mut usize,
+        depth: usize,
+        out: &mut String,
+    ) {
+        let Estimate { rows, cost } = estimates[*id];
+        *id += 1;
         let pad = "  ".repeat(depth);
         let line = self.describe(db);
         out.push_str(&format!("{pad}{line}  (rows≈{rows:.1}, cost≈{cost:.1})\n"));
         for child in self.children() {
-            child.explain_into(db, stats, depth + 1, out);
+            child.explain_into(db, estimates, id, depth + 1, out);
         }
     }
 

@@ -6,42 +6,46 @@
 //! estimate with its observed counters into the [`OpProfile`] tree that
 //! a profiled request renders. [`max_q_error`] makes the same
 //! comparison for every query, keeping only its worst q-error for the
-//! watchdog histogram.
+//! watchdog histogram. Both read the estimates from one
+//! [`crate::cost::estimate_all`] walk, addressed by the same pre-order
+//! ids.
 
 use toposem_extension::Database;
 use toposem_obs::{q_error, OpProfile, PlanProfile};
-use toposem_storage::Statistics;
 
-use crate::cost::estimate;
+use crate::cost::Estimate;
 use crate::physical::Physical;
 
 /// Builds the annotated operator tree for `plan` from the counters the
 /// executor accumulated into `profile` (sized to `plan.node_count()`),
-/// with each operator's estimate read through `stats`.
+/// with each operator's estimate read from `estimates` (pre-order, as
+/// [`crate::cost::estimate_all`] returns them).
 pub fn build_op_profile(
     plan: &Physical,
     db: &Database,
-    stats: &Statistics,
+    estimates: &[Estimate],
     profile: &PlanProfile,
 ) -> OpProfile {
     debug_assert_eq!(profile.len(), plan.node_count(), "profile sized to plan");
+    debug_assert_eq!(estimates.len(), plan.node_count(), "one estimate per node");
     let mut id = 0;
-    build(plan, db, stats, profile, &mut id)
+    build(plan, db, estimates, profile, &mut id)
 }
 
 fn build(
     plan: &Physical,
     db: &Database,
-    stats: &Statistics,
+    estimates: &[Estimate],
     profile: &PlanProfile,
     id: &mut usize,
 ) -> OpProfile {
+    let est_rows = estimates[*id].rows;
     let snap = profile.node(*id).snapshot();
     *id += 1;
     let children: Vec<OpProfile> = plan
         .children()
         .into_iter()
-        .map(|c| build(c, db, stats, profile, id))
+        .map(|c| build(c, db, estimates, profile, id))
         .collect();
     let mut detail: Vec<(&'static str, String)> = Vec::new();
     match plan {
@@ -70,7 +74,7 @@ fn build(
     }
     OpProfile {
         label: plan.describe(db),
-        est_rows: estimate(plan, stats).rows,
+        est_rows,
         stats: snap,
         detail,
         children,
@@ -78,29 +82,17 @@ fn build(
 }
 
 /// The query's worst per-operator q-error (≥ 1.0; 1.0 for an empty
-/// plan): each operator that ran is compared, estimate against the rows
-/// it produced, under the same `stats` that priced the plan.
-pub(crate) fn max_q_error(plan: &Physical, stats: &Statistics, profile: &PlanProfile) -> f64 {
-    debug_assert_eq!(profile.len(), plan.node_count(), "profile sized to plan");
-    let mut max_q = 1.0_f64;
-    let mut id = 0;
-    walk_q(plan, stats, profile, &mut id, &mut max_q);
-    max_q
-}
-
-fn walk_q(
-    plan: &Physical,
-    stats: &Statistics,
-    profile: &PlanProfile,
-    id: &mut usize,
-    max_q: &mut f64,
-) {
-    let snap = profile.node(*id).snapshot();
-    *id += 1;
-    if snap.calls > 0 {
-        *max_q = max_q.max(q_error(estimate(plan, stats).rows, snap.rows));
-    }
-    for c in plan.children() {
-        walk_q(c, stats, profile, id, max_q);
-    }
+/// plan): each operator that ran is compared, its estimate (from
+/// `estimates`, pre-order, priced under the statistics that planned
+/// it) against the rows it produced.
+pub(crate) fn max_q_error(estimates: &[Estimate], profile: &PlanProfile) -> f64 {
+    debug_assert_eq!(profile.len(), estimates.len(), "profile sized to plan");
+    estimates
+        .iter()
+        .enumerate()
+        .map(|(id, e)| (e, profile.node(id).snapshot()))
+        .filter(|(_, snap)| snap.calls > 0)
+        .fold(1.0_f64, |max_q, (e, snap)| {
+            max_q.max(q_error(e.rows, snap.rows))
+        })
 }

@@ -51,7 +51,7 @@
 use std::sync::Arc;
 
 use toposem_core::TypeId;
-use toposem_extension::{Instance, Relation};
+use toposem_extension::{Instance, Relation, Row};
 use toposem_obs::QueryProfile;
 use toposem_storage::{Engine, EngineSnapshot, Query, QueryError};
 
@@ -150,8 +150,9 @@ impl QueryRequest {
 pub enum QueryRows {
     /// An unordered result relation.
     Set(Relation),
-    /// A deduplicated sequence in the requested order.
-    Seq(Vec<Instance>),
+    /// A deduplicated sequence in the requested order, joined rows
+    /// still (build, probe) pairs.
+    Seq(Vec<Row>),
 }
 
 impl QueryRows {
@@ -168,11 +169,12 @@ impl QueryRows {
         self.len() == 0
     }
 
-    /// Iterate the tuples (in presentation order for `Seq`).
-    pub fn iter(&self) -> Box<dyn Iterator<Item = &Instance> + '_> {
+    /// Iterate the rows (in presentation order for `Seq`); each is a
+    /// handle clone, a joined row still its pair.
+    pub fn iter(&self) -> Box<dyn Iterator<Item = Row> + '_> {
         match self {
-            QueryRows::Set(rel) => Box::new(rel.iter()),
-            QueryRows::Seq(seq) => Box::new(seq.iter()),
+            QueryRows::Set(rel) => Box::new(rel.iter().cloned().map(Row::One)),
+            QueryRows::Seq(rows) => Box::new(rows.iter().cloned()),
         }
     }
 
@@ -184,11 +186,20 @@ impl QueryRows {
         }
     }
 
-    /// The sequence, when this is an ordered result.
+    /// The sequence, when this is an ordered result, every row merged
+    /// into one instance.
     pub fn seq(self) -> Option<Vec<Instance>> {
+        self.rows()
+            .map(|rows| rows.into_iter().map(Row::into_instance).collect())
+    }
+
+    /// The sequence, when this is an ordered result, as the executor
+    /// left it: a joined row is its unmerged pair. The server encodes
+    /// replies from these.
+    pub fn rows(self) -> Option<Vec<Row>> {
         match self {
             QueryRows::Set(_) => None,
-            QueryRows::Seq(seq) => Some(seq),
+            QueryRows::Seq(rows) => Some(rows),
         }
     }
 }
@@ -228,7 +239,7 @@ pub(crate) fn run_with(
             req.query(),
             pinned,
             req.wants_profile(),
-            exec::execute_ordered_profiled,
+            exec::execute_rows_profiled,
             |seq| seq.len() as u64,
         )?;
         Ok(QueryResponse {

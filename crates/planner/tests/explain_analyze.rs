@@ -13,7 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use toposem_core::{employee_schema, Intension};
 use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Value};
-use toposem_planner::{PlannedExecution, QueryRequest, QueryResponse, QueryTarget};
+use toposem_planner::{
+    estimate, estimate_all, lower_and_rewrite, plan, Physical, PlannedExecution, QueryRequest,
+    QueryResponse, QueryTarget,
+};
 use toposem_storage::{Engine, Query};
 use toposem_wal::{FlushPolicy, Wal, WalConfig};
 
@@ -197,6 +200,47 @@ fn explain_analyze_annotates_every_operator() {
         text.contains("Phases: plan ") && text.contains("plan cache"),
         "missing phase footer:\n{text}"
     );
+}
+
+/// The one-walk estimates that profiles and q-errors read are, node for
+/// node in pre-order, what `estimate` prices each subtree at — on the
+/// suite, a sorted join, and union/intersect trees.
+#[test]
+fn one_estimate_walk_equals_per_node_estimates() {
+    fn pre_order<'p>(p: &'p Physical, out: &mut Vec<&'p Physical>) {
+        out.push(p);
+        for c in p.children() {
+            pre_order(c, out);
+        }
+    }
+    let eng = loaded_engine(1_000);
+    let s = eng.with_db(|db| db.schema().clone());
+    let employee = s.type_id("employee").unwrap();
+    let department = s.type_id("department").unwrap();
+    let (name, age) = (s.attr_id("name").unwrap(), s.attr_id("age").unwrap());
+    let mut queries = query_suite(&eng);
+    queries.push(
+        Query::scan(employee)
+            .select(age, Value::Int(7))
+            .join(Query::scan(department))
+            .order_by_asc(name),
+    );
+    queries.push(
+        Query::scan(employee)
+            .select(age, Value::Int(3))
+            .union(Query::scan(employee).select(age, Value::Int(4)))
+            .intersect(Query::scan(employee).select_between(age, Value::Int(0), Value::Int(3))),
+    );
+    let stats = eng.statistics();
+    for q in queries {
+        let p = eng.with_parts(|db, indexes| {
+            plan(&lower_and_rewrite(&q, db).unwrap(), db, indexes, &stats)
+        });
+        let mut nodes = Vec::new();
+        pre_order(&p, &mut nodes);
+        let per_node: Vec<_> = nodes.iter().map(|n| estimate(n, &stats)).collect();
+        assert_eq!(estimate_all(&p, &stats), per_node, "{q:?}");
+    }
 }
 
 /// Every planned query lands in the trace ring; dropping the slow-query

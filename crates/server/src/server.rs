@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use toposem_core::{Schema, TypeId};
-use toposem_extension::{Instance, Value};
+use toposem_extension::{Row, Value};
 use toposem_obs::QueryTrace;
 use toposem_storage::Engine;
 
@@ -181,8 +181,9 @@ fn handle_connection(
 enum Reply {
     /// `OK 0 <info>`.
     Ok(String),
-    /// `OK <n> <type name>` and one `attr=value …` line per row.
-    Rows(TypeId, Vec<Instance>),
+    /// `OK <n> <type name>` and one `attr=value …` line per row; a
+    /// joined row stays its unmerged pair until it is written.
+    Rows(TypeId, Vec<Row>),
     /// `OK <n> <info>` and one body line per line of the text.
     Text(&'static str, String),
     /// `OK <n> trace` and one line per traced plan.
@@ -261,10 +262,12 @@ fn push_head(out: &mut Vec<u8>, n: usize, info: &str) {
 }
 
 /// One row: `attr=value` pairs in attribute order, separated by spaces.
-/// A value renders exactly as [`Value`]'s `Display` does (strings as
-/// their `Debug` form), then line-escaped.
-fn push_row(out: &mut Vec<u8>, schema: &Schema, t: &Instance) {
-    for (i, (a, v)) in t.fields().iter().enumerate() {
+/// A joined pair is written in one id-ordered pass over both of its
+/// field lists, a shared attribute once. A value renders exactly as
+/// [`Value`]'s `Display` does (strings as their `Debug` form), then
+/// line-escaped.
+fn push_row(out: &mut Vec<u8>, schema: &Schema, row: &Row) {
+    for (i, (a, v)) in row.fields().enumerate() {
         if i > 0 {
             out.push(b' ');
         }
@@ -364,7 +367,7 @@ fn dispatch(session: &mut Session, cmd: Command) -> Reply {
         Command::Commit => session.commit().map(|()| Reply::ok("commit")),
         Command::Abort => session.abort().map(|()| Reply::ok("abort")),
         Command::Query(spec) => session.resolve(&spec).and_then(|q| {
-            let (ty, rows) = session.query(&q)?;
+            let (ty, rows) = session.query_rows(q)?;
             Ok(Reply::Rows(ty, rows))
         }),
         Command::Explain(spec) => session
@@ -421,19 +424,21 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use toposem_core::{AttrId, Intension, SchemaBuilder};
-    use toposem_extension::{ContainmentPolicy, Database, DomainCatalog};
+    use toposem_extension::{ContainmentPolicy, Database, DomainCatalog, Instance};
 
-    /// The reference renderer: one `String` per field, joined per row,
-    /// then every line escaped. The encoder must reproduce its bytes
-    /// exactly.
+    /// The reference renderer: every row merged into one instance
+    /// (`Instance::merge`), one `String` per field, joined per row, then
+    /// every line escaped. The encoder must reproduce its bytes exactly.
     fn reference(reply: &Reply, schema: &Schema) -> Vec<u8> {
         let (head, body): (Result<String, String>, Vec<String>) = match reply {
             Reply::Ok(info) => (Ok(info.clone()), Vec::new()),
             Reply::Rows(ty, rows) => (
                 Ok(schema.type_name(*ty).to_owned()),
                 rows.iter()
-                    .map(|t| {
-                        t.fields()
+                    .map(|row| {
+                        row.clone()
+                            .into_instance()
+                            .fields()
                             .iter()
                             .map(|(a, v)| format!("{}={v}", schema.attr_name(*a)))
                             .collect::<Vec<_>>()
@@ -577,6 +582,28 @@ mod tests {
             .prop_map(|picks| picks.into_iter().map(|i| TRICKY[i]).collect())
     }
 
+    /// A row over `attrs` with values `vals`: one instance when `sides`
+    /// is `None`, else the pair whose left side holds the attributes
+    /// marked 0 or 2 and whose right side those marked 1 or 2 (2 =
+    /// shared, so both sides carry the same value).
+    fn row(attrs: &[AttrId], vals: Vec<Value>, sides: Option<Vec<u8>>) -> Row {
+        let fields: Vec<(AttrId, Value)> = attrs.iter().copied().zip(vals).collect();
+        let Some(sides) = sides else {
+            return Row::One(Instance::from_parts(fields));
+        };
+        let side = |keep: fn(u8) -> bool| {
+            Instance::from_parts(
+                fields
+                    .iter()
+                    .zip(&sides)
+                    .filter(|(_, s)| keep(**s))
+                    .map(|(f, _)| f.clone())
+                    .collect(),
+            )
+        };
+        Row::Pair(side(|s| s != 1), side(|s| s != 0))
+    }
+
     fn encoded(reply: &Reply, engine: &Engine) -> Vec<u8> {
         let mut out = Vec::new();
         reply.encode(engine, &mut out);
@@ -585,17 +612,27 @@ mod tests {
 
     proptest! {
         /// Whole replies from the encoder equal the reference renderer's,
-        /// byte for byte, for rows, text bodies, acks, and errors.
+        /// byte for byte, for rows (single instances and unmerged join
+        /// pairs), text bodies, acks, and errors.
         #[test]
         fn encoder_matches_reference_renderer(
-            rows in prop::collection::vec(prop::collection::vec(value(), 5), 0..12),
+            rows in prop::collection::vec(
+                (
+                    prop::collection::vec(value(), 5),
+                    prop_oneof![
+                        Just(None),
+                        prop::collection::vec(0u8..3, 5).prop_map(Some),
+                    ],
+                ),
+                0..12,
+            ),
             info in text(),
             body in prop::collection::vec(text(), 0..6),
         ) {
             let (engine, ty, attrs) = tricky_engine();
-            let rows: Vec<Instance> = rows
+            let rows: Vec<Row> = rows
                 .into_iter()
-                .map(|vals| Instance::from_parts(attrs.iter().copied().zip(vals).collect()))
+                .map(|(vals, sides)| row(&attrs, vals, sides))
                 .collect();
             let trace = QueryTrace {
                 fingerprint: 7,
@@ -632,13 +669,14 @@ mod tests {
         let (engine, ty, attrs) = tricky_engine();
         let schema = engine.with_db(|db| db.schema().clone());
         for s in TRICKY {
-            let row = Instance::from_parts(
-                attrs
-                    .iter()
-                    .map(|a| (*a, Value::Str((*s).to_owned())))
-                    .collect(),
+            let vals = || attrs.iter().map(|_| Value::Str((*s).to_owned())).collect();
+            let reply = Reply::Rows(
+                ty,
+                vec![
+                    row(&attrs, vals(), None),
+                    row(&attrs, vals(), Some(vec![0, 2, 1, 2, 0])),
+                ],
             );
-            let reply = Reply::Rows(ty, vec![row]);
             assert_eq!(
                 encoded(&reply, &engine),
                 reference(&reply, &schema),

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use toposem_core::{AttrId, TypeId};
-use toposem_extension::{Instance, Value};
+use toposem_extension::{Instance, Row, Value};
 use toposem_planner::{
     Consistency, PinnedSnapshot, PlannedExecution, QueryRequest, QueryResponse, QueryTarget,
 };
@@ -209,11 +209,21 @@ impl Session {
     }
 
     /// Runs a resolved query, returning the result as an ordered
-    /// sequence (the root `order by`'s order, or arrival order).
+    /// sequence (the root `order by`'s order, or arrival order) of
+    /// whole instances: [`Session::query_rows`] with every joined row
+    /// merged.
     pub fn query(&self, q: &Query) -> Result<(TypeId, Vec<Instance>), SessionError> {
+        let (ty, rows) = self.query_rows(q.clone())?;
+        Ok((ty, rows.into_iter().map(Row::into_instance).collect()))
+    }
+
+    /// Runs a resolved query it owns, returning the ordered sequence as
+    /// the executor left it: a joined row is its unmerged (build, probe)
+    /// pair. The server encodes replies from this.
+    pub fn query_rows(&self, q: Query) -> Result<(TypeId, Vec<Row>), SessionError> {
         toposem_obs::set_current_session(Some(self.id));
         let _guard = AttributionGuard;
-        let req = QueryRequest::new(q.clone()).ordered();
+        let req = QueryRequest::new(q).ordered();
         let res = match &self.txn {
             // Pinned: every query in the transaction sees one epoch.
             Txn::Read(pin) => pin.run(&req),
@@ -223,8 +233,8 @@ impl Session {
             Txn::None => self.autocommit_read(req),
         };
         let resp = res.map_err(|e| SessionError::Query(e.to_string()))?;
-        let seq = resp.rows.seq().expect("ordered request yields Seq rows");
-        Ok((resp.ty, seq))
+        let rows = resp.rows.rows().expect("ordered request yields Seq rows");
+        Ok((resp.ty, rows))
     }
 
     /// An autocommit read: a pooled replica first (requiring the
@@ -233,15 +243,17 @@ impl Session {
     /// when no snapshot can be produced, so this never fails for lack
     /// of one.
     fn autocommit_read(&self, req: QueryRequest) -> Result<QueryResponse, QueryError> {
-        if let Some(pool) = &self.replicas {
-            if let Some(follower) = pool.pick() {
-                match follower.run(&req.clone().at_least(self.read_floor)) {
+        let req = match self.replicas.as_ref().and_then(|pool| pool.pick()) {
+            Some(follower) => {
+                let req = req.at_least(self.read_floor);
+                match follower.run(&req) {
                     // Stale past the bound: serve from the primary.
-                    Err(QueryError::Stale { .. }) => {}
+                    Err(QueryError::Stale { .. }) => req,
                     other => return other,
                 }
             }
-        }
+            None => req,
+        };
         self.engine
             .run(&req.with_consistency(Consistency::Snapshot))
     }

@@ -763,6 +763,63 @@ fn tricky_strings_come_back_exactly_as_the_reference_renders_them() {
     assert_eq!(c.frame("PING"), ["OK 0 pong"], "framing stayed in sync");
 }
 
+/// A joined reply is written from its unmerged (build, probe) pairs;
+/// with tricky strings in the shared attribute and on both sides, every
+/// body line must still be the reference rendering of the merged row.
+#[test]
+fn joined_rows_with_tricky_strings_on_both_sides_match_the_reference() {
+    let mut catalog = DomainCatalog::employee_defaults();
+    catalog
+        .bind("department-names", toposem_extension::DomainSpec::AnyStr)
+        .bind("locations", toposem_extension::DomainSpec::AnyStr);
+    let eng = Arc::new(Engine::new(Database::new(
+        Intension::analyse(employee_schema()),
+        catalog,
+        ContainmentPolicy::Eager,
+    )));
+    let handle = serve(Arc::clone(&eng), "127.0.0.1:0").unwrap();
+    let (employee, department, name) = eng.with_db(|db| {
+        let s = db.schema();
+        (
+            s.type_id("employee").unwrap(),
+            s.type_id("department").unwrap(),
+            s.attr_id("name").unwrap(),
+        )
+    });
+    let n = TRICKY.len();
+    for (i, s) in TRICKY.iter().enumerate() {
+        let str = toposem_extension::Value::str;
+        eng.insert(
+            employee,
+            &[
+                ("name", str(s)),
+                ("age", toposem_extension::Value::Int(i as i64)),
+                ("depname", str(TRICKY[(i + 1) % n])),
+            ],
+        )
+        .unwrap();
+        eng.insert(
+            department,
+            &[("depname", str(s)), ("location", str(TRICKY[(i + 2) % n]))],
+        )
+        .unwrap();
+    }
+    let q = toposem_storage::Query::scan(employee)
+        .join(toposem_storage::Query::scan(department))
+        .order_by(vec![(name, toposem_storage::SortDir::Asc)]);
+    let mut c = Client::connect(&handle);
+    assert!(
+        c.ok("EXPLAIN scan employee | join (scan department) | order by name")
+            .iter()
+            .any(|l| l.contains("Join")),
+        "the query must run a join"
+    );
+    let frame = c.frame("QUERY scan employee | join (scan department) | order by name");
+    assert_eq!(frame[0], format!("OK {n} worksfor"));
+    assert_eq!(frame, reference_frame(&eng, &q));
+    assert_eq!(c.frame("PING"), ["OK 0 pong"], "framing stayed in sync");
+}
+
 #[test]
 fn the_reused_reply_buffer_carries_no_stale_bytes() {
     let (eng, handle) = server();

@@ -22,7 +22,7 @@ pub use catalog::{Catalog, StoragePlan};
 pub use engine::{Engine, EngineError};
 pub use index::{CompositeIndex, HashIndex, Index, IndexKind, OrdIndex};
 pub use query::{
-    cmp_by_keys, Interval, PredBound, Predicate, Query, QueryError, SortDir, SortKeys,
+    cmp_by_keys, cmp_key, Interval, PredBound, Predicate, Query, QueryError, SortDir, SortKeys,
 };
 pub use snapshot::{load, save, EngineSnapshot, SnapshotError};
 pub use stats::{Histogram, Statistics, TypeStats};

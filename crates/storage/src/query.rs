@@ -148,24 +148,30 @@ impl std::fmt::Display for SortDir {
 /// A requested output ordering: sort keys applied left to right.
 pub type SortKeys = Vec<(toposem_core::AttrId, SortDir)>;
 
-/// Compares two instances under `keys` (attributes outside either tuple
-/// order last, which cannot happen for validated same-type tuples).
+/// Compares two instances under `keys`, each key by [`cmp_key`]. An
+/// attribute missing from a tuple reads as `None`, which orders *first*
+/// under [`SortDir::Asc`] and last under [`SortDir::Desc`]; validated
+/// same-type tuples never miss one.
 pub fn cmp_by_keys(
     a: &Instance,
     b: &Instance,
     keys: &[(toposem_core::AttrId, SortDir)],
 ) -> std::cmp::Ordering {
-    for (attr, dir) in keys {
-        let ord = a.get(*attr).cmp(&b.get(*attr));
-        let ord = match dir {
-            SortDir::Asc => ord,
-            SortDir::Desc => ord.reverse(),
-        };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
+    keys.iter()
+        .map(|(attr, dir)| cmp_key(a.get(*attr), b.get(*attr), *dir))
+        .find(|o| o.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// One sort key's comparison: `Option`'s order (an absent value before
+/// every present one), reversed under [`SortDir::Desc`]. Every ordered
+/// comparison of rows — [`cmp_by_keys`] and the executor's decorated
+/// sort — goes through it.
+pub fn cmp_key(a: Option<&Value>, b: Option<&Value>, dir: SortDir) -> std::cmp::Ordering {
+    match dir {
+        SortDir::Asc => a.cmp(&b),
+        SortDir::Desc => b.cmp(&a),
     }
-    std::cmp::Ordering::Equal
 }
 
 /// The intersection of predicate intervals on one attribute: an owned
@@ -546,6 +552,43 @@ mod tests {
     use super::*;
     use toposem_core::{employee_schema, Intension};
     use toposem_extension::{ContainmentPolicy, DomainCatalog};
+
+    /// The rule `cmp_by_keys`'s doc states: an attribute missing from a
+    /// tuple orders first under `Asc` and last under `Desc`, before any
+    /// present value is compared, and later keys only break ties.
+    #[test]
+    fn missing_attribute_orders_first_ascending_last_descending() {
+        use std::cmp::Ordering;
+        use toposem_core::AttrId;
+        let (a, b) = (AttrId(0), AttrId(1));
+        let full = Instance::from_parts(vec![(a, Value::Int(i64::MIN)), (b, Value::Int(0))]);
+        let missing = Instance::from_parts(vec![(b, Value::Int(9))]);
+        assert_eq!(
+            cmp_by_keys(&missing, &full, &[(a, SortDir::Asc)]),
+            Ordering::Less
+        );
+        assert_eq!(
+            cmp_by_keys(&missing, &full, &[(a, SortDir::Desc)]),
+            Ordering::Greater
+        );
+        assert_eq!(
+            cmp_by_keys(&missing, &missing, &[(a, SortDir::Asc), (b, SortDir::Desc)]),
+            Ordering::Equal
+        );
+        assert_eq!(
+            cmp_by_keys(&missing, &full, &[(b, SortDir::Desc), (a, SortDir::Asc)]),
+            Ordering::Less,
+            "the first key that differs decides"
+        );
+        assert_eq!(
+            cmp_key(None, Some(&Value::Int(0)), SortDir::Asc),
+            Ordering::Less
+        );
+        assert_eq!(
+            cmp_key(None, Some(&Value::Int(0)), SortDir::Desc),
+            Ordering::Greater
+        );
+    }
 
     fn loaded_db() -> Database {
         let mut d = Database::new(
